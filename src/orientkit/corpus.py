@@ -1,11 +1,13 @@
 """Small-graph corpus enumeration, the theta-agreement sweep, report output.
 
-The corpus for e edges is generated from the standard edge partition
-{(0,1), (2,3), ...} (every perfect matching of the half-edges is a
-relabeling of it) by running over all vertex partitions of the half-edge
-set, filtering by the loop/connectivity flags and deduplicating by
-canonical form. Emission order is the byte order of the canonical forms,
-so two runs with the same spec produce identical reports.
+The corpus is generated level by level: the classes with e edges come from
+the canonical representatives with e-1 edges by adding one edge in every
+possible place, then are deduplicated by canonical form. This is complete
+because every connected graph with at least two edges has a non-bridge
+edge or a pendant edge, and deleting it (with the pendant vertex, if any)
+leaves a connected graph with one edge fewer. Emission order is the byte
+order of the canonical forms, so two runs with the same spec produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -63,34 +65,45 @@ class SweepReport:
     totals: dict = field(hash=False)
 
 
-def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of 0..n-1 into non-empty blocks.
+def _one_edge_more(g: Graph, spec: CorpusSpec) -> Iterator[Graph]:
+    """Every graph made from g by adding one edge with the next two half-edge ids.
 
-    Blocks come out in first-occurrence order with members ascending, which
-    is already the graph normal form.
+    The new edge runs between vertices u <= v, where ids n and n+1 (n the
+    vertex count) stand for new vertices. The new half-edges carry the
+    largest ids, so the result is already normalized.
     """
-    if n == 0:
-        yield ()
-        return
-    blocks: list[list[int]] = []
-
-    def place(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from place(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from place(i + 1)
-        blocks.pop()
-
-    yield from place(0)
+    a, b = g.half_edge_count, g.half_edge_count + 1
+    n = len(g.vertices)
+    ends = [(u, v) for u in range(n) for v in range(u, n + 1)]
+    if not n or not spec.connected_only:
+        ends += [(n, n), (n, n + 1)]
+    for u, v in ends:
+        if u == v and not spec.allow_loops:
+            continue
+        blocks = list(g.vertices) + [(), ()]
+        blocks[u] += (a,)
+        blocks[v] += (b,)
+        yield Graph(edges=g.edges + ((a, b),), vertices=tuple(blk for blk in blocks if blk))
 
 
 def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     """All isomorphism classes with at most ``spec.max_edges`` edges.
+
+    Level e is built from the canonical representatives of level e-1 by
+    ``_one_edge_more``: a loop at a vertex (when loops are allowed), an edge
+    between two distinct vertices (parallel edges included), a pendant edge
+    to a new vertex, and, when the graph is empty or disconnected graphs are
+    wanted, a new component that is a single edge or a single loop.
+
+    Completeness: take a graph with e >= 1 edges. If a component is a
+    single edge or a single loop, deleting it gives a graph of level e-1.
+    Otherwise pick a component with at least two edges. It has a non-bridge
+    edge or a pendant edge: if every edge is a bridge the component is a
+    tree, and a tree with an edge has a leaf. Deleting that edge, and the
+    pendant vertex if there is one, leaves the component connected. The
+    result is in level e-1, is loopless if the graph was, and is connected
+    if the graph was, and adding the deleted edge back is one of the moves
+    above. Every level is deduplicated by canonical form.
 
     Each class is emitted once, as its canonical representative, in byte
     order of the canonical forms. The empty graph belongs to the corpus
@@ -99,18 +112,17 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     if spec.max_edges < 0:
         raise ValueError("max_edges must be >= 0")
     check_half_edges(2 * spec.max_edges, spec.max_half_edges)
-    seen: dict[bytes, Graph] = {}
-    for ne in range(spec.max_edges + 1):
-        count = 2 * ne
-        edges = tuple((2 * i, 2 * i + 1) for i in range(ne))
-        for blocks in _set_partitions(count):
-            g = Graph(edges=edges, vertices=blocks)
-            if not spec.allow_loops and any(g.is_loop(e) for e in range(ne)):
-                continue
-            if spec.connected_only and not g.is_connected():
-                continue
-            rep = canonical_graph(g, spec.max_half_edges)
-            seen.setdefault(format_graph(rep).encode("ascii"), rep)
+    empty = Graph(edges=(), vertices=())
+    level = {format_graph(empty).encode("ascii"): empty}
+    seen = {} if spec.connected_only else dict(level)
+    for _ in range(spec.max_edges):
+        next_level: dict[bytes, Graph] = {}
+        for g in level.values():
+            for h in _one_edge_more(g, spec):
+                rep = canonical_graph(h, spec.max_half_edges)
+                next_level.setdefault(format_graph(rep).encode("ascii"), rep)
+        seen.update(next_level)
+        level = next_level
     for key in sorted(seen):
         yield seen[key]
 

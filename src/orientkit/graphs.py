@@ -131,6 +131,9 @@ class Graph:
         return len(self.connected_components()) == 1
 
 
+_MAX_IDS_SHOWN = 8
+
+
 def validate(
     half_edge_count: int,
     edges: Iterable[Iterable[int]],
@@ -157,7 +160,9 @@ def validate(
                 owner[h] = True
         missing = [h for h in range(count) if not owner[h]]
         if missing:
-            raise CoverageError(f"half-edges {missing} missing from the {kind} partition")
+            shown = missing[:_MAX_IDS_SHOWN]
+            more = f" and {len(missing) - len(shown)} more" if len(missing) > len(shown) else ""
+            raise CoverageError(f"half-edges {shown}{more} missing from the {kind} partition")
 
     edge_blocks = []
     for raw in edges:
@@ -165,6 +170,10 @@ def validate(
         if len(block) != 2 or block[0] == block[1]:
             raise BadEdgeArityError(f"edge block must hold two distinct half-edges, got {block}")
         edge_blocks.append(block)
+    # Checked before anything is sized by count, so a huge declared count
+    # costs nothing.
+    if count != 2 * len(edge_blocks):
+        raise CoverageError(f"half-edge count {count} is not twice the edge count {len(edge_blocks)}")
     check_partition(edge_blocks, "edge")
 
     vertex_blocks = []
@@ -339,6 +348,8 @@ def contract_edge(g: Graph, e: int) -> tuple[Graph, dict[int, int]]:
 
     Returns the contracted graph and the half-edge re-index map.
     """
+    if not 0 <= e < len(g.edges):
+        raise IndexError(f"edge id {e} out of range")
     a, b = g.edges[e]
     if g.is_loop(e):
         return _rebuild(g, {a, b}, (), {e})

@@ -97,6 +97,12 @@ def test_contract_bad_edge_exits_1(loop_file, capsys):
     assert cli_main(["contract", loop_file, "--edge", "5"]) == 1
 
 
+@pytest.mark.parametrize("edge", ["-1", "3"])
+def test_contract_edge_out_of_range_exits_1(triangle_file, capsys, edge):
+    assert cli_main(["contract", triangle_file, "--edge", edge]) == 1
+    assert f"error: edge id {edge} out of range" in capsys.readouterr().err
+
+
 def test_families_output(capsys):
     assert cli_main(["families", "--max-n", "1", "--family", "I"]) == 0
     out = capsys.readouterr().out

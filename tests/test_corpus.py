@@ -14,7 +14,7 @@ from orientkit.corpus import (
     sweep_theorem,
     write_report,
 )
-from orientkit.graphs import canonical_form, format_graph
+from orientkit.graphs import Graph, canonical_form, canonical_graph, format_graph
 from orientkit.orientation import default_arrows, epsilon_map
 
 from test_graphs import iso_exists_bruteforce
@@ -24,6 +24,60 @@ from test_graphs import iso_exists_bruteforce
 # on a vertex, loop plus pendant edge, double edge, two-edge path}. Larger
 # counts are frozen from a run of the enumerator as regression values.
 CONNECTED_CLASS_COUNTS = {1: 2, 2: 4, 3: 11, 4: 30}
+
+# Classes per edge count from the literature, not from either enumerator:
+# connected multigraphs with loops (OEIS A007719) and without (A076864).
+PUBLISHED_CLASS_COUNTS = {
+    True: [2, 4, 11, 30, 95, 328, 1211],
+    False: [1, 2, 5, 12, 33, 103, 333],
+}
+
+# The set-partition oracle walks Bell(2|E|) partitions: |E| <= 4 takes about
+# a second, |E| = 5 about a minute, so the cross-check stops at 4.
+ORACLE_MAX_EDGES = 4
+
+
+def set_partitions(n):
+    """All partitions of 0..n-1 into non-empty blocks.
+
+    Blocks come out in first-occurrence order with members ascending, which
+    is already the graph normal form.
+    """
+    if n == 0:
+        yield ()
+        return
+    blocks = []
+
+    def place(i):
+        if i == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from place(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from place(i + 1)
+        blocks.pop()
+
+    yield from place(0)
+
+
+def oracle_classes(spec):
+    """Slow reference corpus: every vertex partition of the half-edges of the
+    standard matching {(0,1), (2,3), ...}, filtered and deduplicated."""
+    seen = {}
+    for ne in range(spec.max_edges + 1):
+        edges = tuple((2 * i, 2 * i + 1) for i in range(ne))
+        for blocks in set_partitions(2 * ne):
+            g = Graph(edges=edges, vertices=blocks)
+            if not spec.allow_loops and any(g.is_loop(e) for e in range(ne)):
+                continue
+            if spec.connected_only and not g.is_connected():
+                continue
+            rep = canonical_graph(g, spec.max_half_edges)
+            seen.setdefault(format_graph(rep).encode("ascii"), rep)
+    return [seen[key] for key in sorted(seen)]
 
 
 def test_one_edge_corpus_is_loop_and_single_edge(loop, single_edge):
@@ -49,6 +103,21 @@ def test_class_counts_frozen():
     for g in enumerate_graphs(CorpusSpec(4)):
         counts[len(g.edges)] = counts.get(len(g.edges), 0) + 1
     assert counts == CONNECTED_CLASS_COUNTS
+
+
+@pytest.mark.parametrize("allow_loops", [True, False])
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_augmentation_matches_set_partition_oracle(allow_loops, connected_only):
+    spec = CorpusSpec(ORACLE_MAX_EDGES, allow_loops=allow_loops, connected_only=connected_only)
+    assert list(enumerate_graphs(spec)) == oracle_classes(spec)
+
+
+def test_class_counts_match_published_series():
+    for allow_loops, expected in PUBLISHED_CLASS_COUNTS.items():
+        counts = [0] * len(expected)
+        for g in enumerate_graphs(CorpusSpec(7, allow_loops=allow_loops, max_half_edges=14)):
+            counts[len(g.edges) - 1] += 1
+        assert counts == expected
 
 
 def test_emitted_graphs_are_canonical_and_sorted():

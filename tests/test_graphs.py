@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -57,6 +58,19 @@ class TestValidate:
             gr.validate(2, [(0, 0)], [(0, 1)])
         with pytest.raises(EmptyVertexError):
             gr.validate(2, [(0, 1)], [(), (0, 1)])
+
+    def test_huge_declared_count_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(CoverageError, match="twice the edge count"):
+            gr.parse_graph("halfedges=20000000; edges=(0 1); vertices={0 1}")
+        assert time.perf_counter() - start < 0.5
+
+    def test_missing_ids_are_truncated_in_the_message(self):
+        with pytest.raises(CoverageError) as err:
+            gr.validate(40, [(h, h + 1) for h in range(0, 40, 2)], [(0,)])
+        assert str(err.value) == (
+            "half-edges [1, 2, 3, 4, 5, 6, 7, 8] and 31 more missing from the vertex partition"
+        )
 
     def test_empty_graph(self):
         g = gr.validate(0, [], [])
