@@ -41,7 +41,6 @@ from .graphs import (
     canonical_form,
     canonical_graph,
     contract_edge,
-    contract_edge_orbit,
     format_graph,
     is_isomorphic,
     orbit_contraction,

@@ -16,9 +16,9 @@ from .automorphisms import (
     automorphism_cycle_data,
     enumerate_automorphisms,
 )
-from .corpus import CorpusSpec, render_report, sweep_theorem, write_report
+from .corpus import CorpusSpec, ReportWriteError, render_report, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
-from .graphs import Graph, GraphError, format_graph, contract_edge, contract_edge_orbit, parse_graph
+from .graphs import Graph, GraphError, format_graph, contract_edge, orbit_contraction, parse_graph
 from .limits import SizeLimitExceeded
 from .orientation import (
     ThetaHom,
@@ -130,7 +130,7 @@ def _cmd_theta(args) -> int:
 def _cmd_orient(args) -> int:
     theta = _THETA_BY_FLAG[args.theta]
     for g in _read_graphs(args.file):
-        report = orientability(g, theta, bruteforce=args.bruteforce)
+        report = orientability(g, theta)
         line = f"theta={theta.name} verdict={report.verdict.name}"
         if report.witness is not None:
             line += f" witness={perms.format_perm(report.witness.perm)}"
@@ -145,9 +145,9 @@ def _cmd_contract(args) -> int:
     for g in _read_graphs(args.file):
         if args.phi is not None:
             phi = perms.parse_perm(args.phi)
-            contracted, induced, _ = contract_edge_orbit(g, phi, args.edge)
-            print(format_graph(contracted))
-            print(f"induced: {perms.format_perm(induced)}")
+            result = orbit_contraction(g, phi, args.edge)
+            print(format_graph(result.graph))
+            print(f"induced: {perms.format_perm(result.induced)}")
         else:
             contracted, _ = contract_edge(g, args.edge)
             print(format_graph(contracted))
@@ -261,14 +261,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (GraphError, SizeLimitExceeded, ValueError, IndexError, OSError) as err:
+    except (
+        GraphError, SizeLimitExceeded, ReportWriteError, ValueError, IndexError, OSError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    return cli_main(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli_main())

@@ -18,11 +18,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
+from .automorphisms import Automorphism, enumerate_automorphisms
 from .graphs import Graph, canonical_graph, format_graph
 from .limits import check_half_edges
-from . import perms
-from .orientation import theta_k, theta_s
+from .orientation import glues_signs, theta_k, theta_s
 
 
 class ReportWriteError(RuntimeError):
@@ -148,7 +147,6 @@ def sweep_theorem(
         canon = format_graph(g)
         auts = enumerate_automorphisms(g, spec.max_half_edges)
         total_auts += len(auts)
-        identity_sigma = perms.identity(len(g.vertices))
         orientable_k = True
         orientable_s = True
         agree = True
@@ -158,11 +156,8 @@ def sweep_theorem(
             if tk != ts:
                 agree = False
                 violations.append(Violation(canon, a.perm, tk, ts))
-            if induced_actions(g, a).vertex_perm == identity_sigma:
-                if tk == -1:
-                    orientable_k = False
-                if ts == -1:
-                    orientable_s = False
+            orientable_k = orientable_k and not glues_signs(g, a, tk)
+            orientable_s = orientable_s and not glues_signs(g, a, ts)
         rows.append(
             SweepRow(
                 canon=canon,

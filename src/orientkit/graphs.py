@@ -106,22 +106,13 @@ class Graph:
 
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         """Partition of vertex ids into components, ordered by minimal id."""
-        parent = list(range(len(self.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(self.vertex_of[a]), find(self.vertex_of[b])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        root = merge_classes(
+            len(self.vertices), ((self.vertex_of[a], self.vertex_of[b]) for a, b in self.edges)
+        )
         groups: dict[int, list[int]] = {}
-        for v in range(len(self.vertices)):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(tuple(groups[r]) for r in sorted(groups))
+        for v, r in enumerate(root):
+            groups.setdefault(r, []).append(v)
+        return tuple(tuple(members) for members in groups.values())
 
     def first_betti(self) -> int:
         """Rank of the cycle space: |E| - |V| + number of components."""
@@ -129,6 +120,27 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
+
+
+def merge_classes(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over 0..n-1: the smallest member of each element's class.
+
+    The classes are those of the equivalence generated by ``links``. Roots
+    are always the smaller id, so callers can order classes by their root.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in links:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
 
 
 _MAX_IDS_SHOWN = 8
@@ -396,45 +408,29 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
             break
     removed = {h for f in orbit for h in g.edges[f]}
 
-    parent = list(range(len(g.vertices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in orbit:
-        a, b = g.edges[f]
-        ra, rb = find(g.vertex_of[a]), find(g.vertex_of[b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    root = merge_classes(
+        len(g.vertices), ((g.vertex_of[a], g.vertex_of[b]) for a, b in (g.edges[f] for f in orbit))
+    )
     groups: dict[int, list[int]] = {}
-    for v in range(len(g.vertices)):
-        groups.setdefault(find(v), []).append(v)
+    for v, r in enumerate(root):
+        groups.setdefault(r, []).append(v)
     merge_groups = [members for members in groups.values() if len(members) > 1]
 
     # phi permutes the merge classes; record its parity on the ones that die.
     sigma = induced_vertex_perm(g, phi)
     dropped_roots = sorted(
-        root
-        for root, members in groups.items()
+        r
+        for r, members in groups.items()
         if all(h in removed for v in members for h in g.vertices[v])
     )
-    root_index = {root: i for i, root in enumerate(dropped_roots)}
-    dropped_perm = tuple(root_index[find(sigma[root])] for root in dropped_roots)
+    root_index = {r: i for i, r in enumerate(dropped_roots)}
+    dropped_perm = tuple(root_index[root[sigma[r]]] for r in dropped_roots)
 
     contracted, remap = _rebuild(g, removed, merge_groups, set(orbit))
     induced = [0] * len(remap)
     for h, new_h in remap.items():
         induced[new_h] = remap[phi[h]]
     return OrbitContraction(contracted, tuple(induced), remap, perms.sign(dropped_perm))
-
-
-def contract_edge_orbit(g: Graph, phi: Perm, e: int) -> tuple[Graph, Perm, dict[int, int]]:
-    """Orbit contraction, returning (graph, induced automorphism, re-index map)."""
-    result = orbit_contraction(g, phi, e)
-    return result.graph, result.induced, result.remap
 
 
 # --- canonical form -------------------------------------------------------

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import prod
 
 from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
-from .graphs import Graph
+from .graphs import Graph, merge_classes
 from .limits import SizeLimitExceeded
 from . import perms
 from .perms import Perm
@@ -64,7 +64,6 @@ class OrientationReport:
     theta: ThetaHom
     verdict: Verdict
     witness: Automorphism | None
-    orbit_count: int | None
     per_automorphism_theta: tuple[tuple[Automorphism, int], ...]
 
 
@@ -188,11 +187,11 @@ def signed_edge_matrix(g: Graph, arrows: Arrows, a: Automorphism) -> IntMatrix:
     the epsilon signs.
     """
     ne = len(g.edges)
-    pi = induced_actions(g, a).edge_perm
     eps = epsilon_map(g, arrows, a)
     rows = [[0] * ne for _ in range(ne)]
     for f in range(ne):
-        rows[pi[f]][f] = eps[pi[f]]
+        image = g.edge_of[a.perm[arrows[f]]]  # the edge that f's arrow tail moves onto
+        rows[image][f] = eps[image]
     return tuple(tuple(r) for r in rows)
 
 
@@ -298,33 +297,32 @@ def theta_k(
 # --- orientability --------------------------------------------------------
 
 
+def glues_signs(g: Graph, a: Automorphism, value: int) -> bool:
+    """True iff ``a`` has theta value -1 and fixes every vertex.
+
+    Such an automorphism glues the two signs of every vertex enumeration,
+    so the graph is non-orientable exactly when one exists. The vertex
+    action is computed only for value -1.
+    """
+    return value == -1 and induced_actions(g, a).vertex_perm == perms.identity(len(g.vertices))
+
+
 def orientability(
     g: Graph,
     theta: ThetaHom,
-    bruteforce: bool = False,
     max_half_edges: int | None = None,
 ) -> OrientationReport:
     """Fast orientability verdict for the chosen homomorphism.
 
-    The graph is non-orientable exactly when some automorphism fixes every
-    vertex yet evaluates to -1: such an automorphism glues the two signs of
-    every vertex enumeration. The first witness in automorphism order is
-    reported. With ``bruteforce=True`` the orbit count of the independent
-    enumeration-pair computation is attached to the report.
+    The graph is non-orientable exactly when some automorphism glues signs
+    (see ``glues_signs``); the first witness in automorphism order is
+    reported. ``or_orbits_bruteforce`` is the independent slow oracle.
     """
     auts = enumerate_automorphisms(g, max_half_edges)
     values = tuple((a, theta.evaluate(g, a)) for a in auts)
-    identity_sigma = perms.identity(len(g.vertices))
-    witness = None
-    for a, value in values:
-        if value == -1 and induced_actions(g, a).vertex_perm == identity_sigma:
-            witness = a
-            break
+    witness = next((a for a, value in values if glues_signs(g, a, value)), None)
     verdict = Verdict.NON_ORIENTABLE if witness is not None else Verdict.ORIENTABLE
-    orbit_count = None
-    if bruteforce:
-        orbit_count, _, _ = or_orbits_bruteforce(g, theta, max_half_edges)
-    return OrientationReport(theta, verdict, witness, orbit_count, values)
+    return OrientationReport(theta, verdict, witness, values)
 
 
 def or_orbits_bruteforce(
@@ -345,35 +343,24 @@ def or_orbits_bruteforce(
         raise SizeLimitExceeded(f"brute-force orbit search limited to 8 vertices, got {nv}")
     auts = enumerate_automorphisms(g, max_half_edges)
     actions = [
-        (induced_actions(g, a).vertex_perm, theta.evaluate(g, a)) for a in auts
+        (perms.inverse(induced_actions(g, a).vertex_perm), theta.evaluate(g, a)) for a in auts
     ]
 
     taus = list(itertools.permutations(range(1, nv + 1)))
     pairs = [(tau, eps) for tau in taus for eps in (1, -1)]
     index = {pair: i for i, pair in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for sigma, value in actions:
-        for tau, eps in pairs:
-            moved = [0] * nv
-            for v in range(nv):
-                moved[sigma[v]] = tau[v]
-            union(index[(tau, eps)], index[(tuple(moved), value * eps)])
-
+    # Relabeling tau along sigma sends sigma[v] to tau[v], so w to tau[sigma^-1(w)].
+    root = merge_classes(
+        len(pairs),
+        (
+            (index[(tau, eps)], index[(tuple([tau[v] for v in inv]), value * eps)])
+            for inv, value in actions
+            for tau, eps in pairs
+        ),
+    )
     orbits: dict[int, list[tuple[Perm, int]]] = {}
-    for pair in pairs:
-        orbits.setdefault(find(index[pair]), []).append(pair)
+    for r, pair in zip(root, pairs):
+        orbits.setdefault(r, []).append(pair)
     orbit_list = tuple(tuple(sorted(members)) for _, members in sorted(orbits.items()))
     z2_free = True
     for members in orbit_list:

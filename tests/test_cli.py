@@ -1,7 +1,11 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+import orientkit.cli
+import orientkit.orientation
 from orientkit.cli import cli_main
 
 
@@ -79,6 +83,26 @@ def test_orient_bruteforce_triangle(triangle_file, capsys):
     assert "z2_free=true" in out
 
 
+def test_orient_bruteforce_runs_oracle_once_per_graph(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "two.graph"
+    path.write_text(
+        "halfedges=2; edges=(0 1); vertices={0 1}\n"
+        "halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}\n"
+    )
+    calls = []
+    oracle = orientkit.orientation.or_orbits_bruteforce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(orientkit.cli, "or_orbits_bruteforce", counting)
+    monkeypatch.setattr(orientkit.orientation, "or_orbits_bruteforce", counting)
+    assert cli_main(["orient", str(path), "--bruteforce"]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out.count("z2_free=") == 2
+
+
 def test_contract_edge(triangle_file, capsys):
     assert cli_main(["contract", triangle_file, "--edge", "0"]) == 0
     out = capsys.readouterr().out.strip()
@@ -119,6 +143,12 @@ def test_verify_clean_corpus(tmp_path, capsys):
     assert "violations=0" in capsys.readouterr().err
 
 
+def test_verify_unwritable_out_exits_1(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    assert cli_main(["verify", "--max-edges", "1", "--out", str(out_path)]) == 1
+    assert f"error: cannot write report to {out_path}" in capsys.readouterr().err
+
+
 def test_verify_csv_to_stdout(capsys):
     assert cli_main(["verify", "--max-edges", "1", "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -149,3 +179,13 @@ def test_multiple_graphs_per_file(tmp_path, capsys):
     assert cli_main(["parse", str(path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 2
+
+
+def test_console_script_targets_are_callable():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr))

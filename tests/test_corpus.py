@@ -14,8 +14,15 @@ from orientkit.corpus import (
     sweep_theorem,
     write_report,
 )
-from orientkit.graphs import Graph, canonical_form, canonical_graph, format_graph
-from orientkit.orientation import default_arrows, epsilon_map
+from orientkit.graphs import Graph, canonical_form, canonical_graph, format_graph, parse_graph
+from orientkit.orientation import (
+    ThetaHom,
+    Verdict,
+    default_arrows,
+    epsilon_map,
+    or_orbits_bruteforce,
+    orientability,
+)
 
 from test_graphs import iso_exists_bruteforce
 
@@ -149,8 +156,6 @@ def test_sweep_small_corpus_has_no_violations():
 
 
 def test_sweep_rows_flag_loops_as_non_orientable():
-    from orientkit.graphs import parse_graph
-
     report = sweep_theorem(CorpusSpec(3))
     loopy = 0
     for row in report.rows:
@@ -160,6 +165,24 @@ def test_sweep_rows_flag_loops_as_non_orientable():
             assert not row.orientable_k
             assert not row.orientable_s
     assert loopy > 0
+
+
+@pytest.mark.parametrize("allow_loops", [True, False])
+def test_sweep_verdicts_match_orientability_and_oracle(allow_loops):
+    report = sweep_theorem(CorpusSpec(3, allow_loops=allow_loops))
+    verdicts = set()
+    for row in report.rows:
+        g = parse_graph(row.canon)
+        for theta, orientable in (
+            (ThetaHom.KONTSEVICH, row.orientable_k),
+            (ThetaHom.SHOIKHET, row.orientable_s),
+        ):
+            assert orientable == (orientability(g, theta).verdict is Verdict.ORIENTABLE)
+            _, z2_free, _ = or_orbits_bruteforce(g, theta)
+            assert orientable == z2_free
+            verdicts.add(orientable)
+    # Every loopless graph with at most 3 edges is orientable.
+    assert verdicts == ({True, False} if allow_loops else {True})
 
 
 def test_sweep_determinism():

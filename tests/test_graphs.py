@@ -161,36 +161,36 @@ class TestContraction:
 
     def test_orbit_contraction_examples(self, triangle, loop, double_edge):
         rho = (2, 3, 4, 5, 0, 1)
-        contracted, induced, _ = gr.contract_edge_orbit(triangle, rho, 0)
-        assert contracted == gr.validate(0, [], [])
-        assert induced == ()
+        result = gr.orbit_contraction(triangle, rho, 0)
+        assert result.graph == gr.validate(0, [], [])
+        assert result.induced == ()
 
-        contracted, induced, _ = gr.contract_edge_orbit(loop, (1, 0), 0)
-        assert contracted == gr.validate(0, [], [])
-        assert induced == ()
+        result = gr.orbit_contraction(loop, (1, 0), 0)
+        assert result.graph == gr.validate(0, [], [])
+        assert result.induced == ()
 
-        contracted, induced, _ = gr.contract_edge_orbit(double_edge, (2, 3, 0, 1), 0)
-        assert contracted == gr.validate(0, [], [])
-        assert induced == ()
+        result = gr.orbit_contraction(double_edge, (2, 3, 0, 1), 0)
+        assert result.graph == gr.validate(0, [], [])
+        assert result.induced == ()
 
     def test_orbit_contraction_single_fixed_edge(self, triangle):
         # A reflection fixes edge 1; its orbit contraction is a plain contraction.
         refl = (5, 4, 3, 2, 1, 0)
-        contracted, induced, _ = gr.contract_edge_orbit(triangle, refl, 1)
+        result = gr.orbit_contraction(triangle, refl, 1)
         plain, _ = gr.contract_edge(triangle, 1)
-        assert contracted == plain
-        assert gr.preserves_partitions(contracted, induced)
+        assert result.graph == plain
+        assert gr.preserves_partitions(result.graph, result.induced)
 
     def test_orbit_contraction_induced_is_automorphism(self, corpus3):
         for g, auts in corpus3:
             for a in auts:
                 for e in range(len(g.edges)):
-                    contracted, induced, _ = gr.contract_edge_orbit(g, a.perm, e)
-                    assert gr.preserves_partitions(contracted, induced)
+                    result = gr.orbit_contraction(g, a.perm, e)
+                    assert gr.preserves_partitions(result.graph, result.induced)
 
     def test_orbit_contraction_rejects_non_automorphism(self, triangle):
         with pytest.raises(NotAnAutomorphism):
-            gr.contract_edge_orbit(triangle, (1, 0, 2, 3, 4, 5), 0)
+            gr.orbit_contraction(triangle, (1, 0, 2, 3, 4, 5), 0)
 
 
 class TestCanonicalForm:

@@ -237,10 +237,6 @@ class TestOrientability:
         report = orientability(complete_graph(4), ThetaHom.VERTEX_PARITY)
         assert report.verdict is Verdict.ORIENTABLE
 
-    def test_bruteforce_attaches_orbit_count(self, loop):
-        report = orientability(loop, ThetaHom.SHOIKHET, bruteforce=True)
-        assert report.orbit_count == 1
-
 
 class TestOrOrbits:
     def test_examples(self, loop, single_edge):
