@@ -59,7 +59,6 @@ from .orientation import (
     induced_cycle_matrix,
     or_orbits_bruteforce,
     orientability,
-    signed_edge_matrix,
     theta_k,
     theta_parity,
     theta_s,

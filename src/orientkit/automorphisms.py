@@ -56,10 +56,6 @@ def as_automorphism(g: Graph, p: Perm) -> Automorphism:
     return Automorphism(g, tuple(p))
 
 
-def identity_automorphism(g: Graph) -> Automorphism:
-    return Automorphism(g, perms.identity(g.half_edge_count))
-
-
 def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list[Automorphism]:
     """The full group Aut(g), in lexicographic order of the image lists.
 
@@ -85,6 +81,9 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
     vtaken = [False] * nv
     found: list[Perm] = []
 
+    # Candidates are tried in ascending order at every depth (a single
+    # partner image, a normalized vertex block, or range(n)), so the
+    # image lists come out in lexicographic order without a sort.
     def extend(h: int) -> None:
         if h == n:
             found.append(tuple(img))
@@ -120,7 +119,6 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
             used[x] = False
 
     extend(0)
-    found.sort()
     return [Automorphism(g, p) for p in found]
 
 

@@ -19,7 +19,7 @@ from .automorphisms import (
 from .corpus import CorpusSpec, ReportWriteError, render_report, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
 from .graphs import Graph, GraphError, format_graph, contract_edge, orbit_contraction, parse_graph
-from .limits import SizeLimitExceeded
+from .limits import CapSettingError, SizeLimitExceeded
 from .orientation import (
     ThetaHom,
     or_orbits_bruteforce,
@@ -47,10 +47,21 @@ _THETA_BY_FLAG = {
 }
 
 
+def _count(text: str) -> int:
+    """argparse type for a count: an integer >= 0, in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _read_graphs(path: str) -> list[Graph]:
     """One graph per file or per non-empty line."""
     with open(path, "r", encoding="ascii") as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise GraphError(f"{path} is not ASCII text: {err.reason} at byte {err.start}") from None
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise GraphError(f"no graph found in {path}")
     return [parse_graph(line) for line in lines]
@@ -144,8 +155,7 @@ def _cmd_orient(args) -> int:
 def _cmd_contract(args) -> int:
     for g in _read_graphs(args.file):
         if args.phi is not None:
-            phi = perms.parse_perm(args.phi)
-            result = orbit_contraction(g, phi, args.edge)
+            result = orbit_contraction(g, args.phi, args.edge)
             print(format_graph(result.graph))
             print(f"induced: {perms.format_perm(result.induced)}")
         else:
@@ -219,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="theta table per automorphism")
     p.add_argument("file")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--arrangements", type=int, default=0,
+    p.add_argument("--arrangements", type=_count, default=0,
                    help="also recheck theta_s under N random arrow arrangements")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_theta)
@@ -234,16 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="contract an edge or a whole orbit")
     p.add_argument("file")
     p.add_argument("--edge", type=int, required=True)
-    p.add_argument("--phi", help="automorphism image list, e.g. [1,0]; contracts the orbit")
+    p.add_argument("--phi", type=perms.parse_perm,
+                   help="automorphism image list, e.g. [1,0]; contracts the orbit")
     p.set_defaults(func=_cmd_contract)
 
     p = sub.add_parser("families", help="build classified instances and check them")
-    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--max-n", type=_count, default=3)
     p.add_argument("--family", choices=[f.value for f in Family])
     p.set_defaults(func=_cmd_families)
 
     p = sub.add_parser("verify", help="exhaustive theta-agreement sweep")
-    p.add_argument("--max-edges", type=int, default=3)
+    p.add_argument("--max-edges", type=_count, default=3)
     p.add_argument("--allow-loops", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--connected-only", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -261,9 +272,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (
-        GraphError, SizeLimitExceeded, ReportWriteError, ValueError, IndexError, OSError
-    ) as err:
+    except (GraphError, SizeLimitExceeded, ReportWriteError, CapSettingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -211,6 +211,11 @@ def validate(
 # "halfedges=0; edges=; vertices=".
 
 
+# A valid graph's half-edge count and ids are below its text's length, so
+# no graph needs longer integers, and int() never meets Python's digit limit.
+_MAX_DIGITS = 18
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -242,7 +247,9 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
+            if self.pos - start == _MAX_DIGITS:
+                raise self.error(f"integer longer than {_MAX_DIGITS} digits")
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
@@ -358,10 +365,11 @@ def _rebuild(
 def contract_edge(g: Graph, e: int) -> tuple[Graph, dict[int, int]]:
     """Contract edge e: loops are deleted, non-loops merge their endpoints.
 
-    Returns the contracted graph and the half-edge re-index map.
+    Returns the contracted graph and the half-edge re-index map. Raises
+    ``GraphError`` if e is out of range.
     """
     if not 0 <= e < len(g.edges):
-        raise IndexError(f"edge id {e} out of range")
+        raise GraphError(f"edge id {e} out of range")
     a, b = g.edges[e]
     if g.is_loop(e):
         return _rebuild(g, {a, b}, (), {e})
@@ -392,12 +400,12 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
     edges are merged along the generated equivalence, emptied blocks are
     dropped, and the automorphism induced on the survivors is returned with
     the re-index map. Raises ``NotAnAutomorphism`` if phi does not preserve
-    the partitions.
+    the partitions, and ``GraphError`` if e is out of range.
     """
     if len(phi) != g.half_edge_count or not preserves_partitions(g, phi):
         raise NotAnAutomorphism("the given permutation is not an automorphism of the graph")
     if not 0 <= e < len(g.edges):
-        raise IndexError(f"edge id {e} out of range")
+        raise GraphError(f"edge id {e} out of range")
     edge_perm = induced_edge_perm(g, phi)
     orbit = []
     cur = e

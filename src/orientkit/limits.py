@@ -12,12 +12,21 @@ class SizeLimitExceeded(RuntimeError):
     """The graph is too large for an exhaustive desk-scale search."""
 
 
+class CapSettingError(ValueError):
+    """The environment variable that sets the cap does not hold an integer."""
+
+
 def half_edge_cap(override: int | None = None) -> int:
     """Effective half-edge cap: explicit override, else env var, else default."""
     if override is not None:
         return override
     value = os.environ.get(ENV_VAR)
-    return int(value) if value else DEFAULT_MAX_HALF_EDGES
+    if not value:
+        return DEFAULT_MAX_HALF_EDGES
+    try:
+        return int(value)
+    except ValueError:
+        raise CapSettingError(f"{ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def check_half_edges(count: int, override: int | None = None) -> None:

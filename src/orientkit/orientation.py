@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import prod
 
 from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
-from .graphs import Graph, merge_classes
+from .graphs import Graph, induced_edge_perm, merge_classes
 from .limits import SizeLimitExceeded
 from . import perms
 from .perms import Perm
@@ -145,15 +145,9 @@ def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None =
                     parent[other] = (u, e)
                     queue.append(other)
 
-    def ancestors(v: int) -> list[int]:
-        chain = [v]
-        while chain[-1] in parent:
-            chain.append(parent[chain[-1]][0])
-        return chain
-
-    def add_path(col: list[int], v: int, stop: int, sign_up: int) -> None:
-        # Walk v upward to ``stop``; sign_up applies to steps taken child->parent.
-        while v != stop:
+    def add_path(col: list[int], v: int, sign_up: int) -> None:
+        # Walk v up to its root; sign_up applies to steps taken child->parent.
+        while v in parent:
             p, e = parent[v]
             t = arrows[e]
             along = g.vertex_of[t] == v  # arrow points child -> parent
@@ -167,32 +161,11 @@ def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None =
         col = [0] * ne
         col[e] = 1
         t = arrows[e]
-        h = g.partner[t]
-        u, v = g.vertex_of[t], g.vertex_of[h]
-        if u != v:
-            anc_u = ancestors(u)
-            in_u = set(anc_u)
-            lca = next(x for x in ancestors(v) if x in in_u)
-            add_path(col, v, lca, 1)
-            add_path(col, u, lca, -1)
+        # Both walks share the path above the common ancestor, where they cancel.
+        add_path(col, g.vertex_of[g.partner[t]], 1)
+        add_path(col, g.vertex_of[t], -1)
         columns.append(col)
     return tuple(tuple(columns[j][i] for j in range(len(columns))) for i in range(ne))
-
-
-def signed_edge_matrix(g: Graph, arrows: Arrows, a: Automorphism) -> IntMatrix:
-    """The |E| x |E| signed permutation matrix of the edge action.
-
-    Entry [image edge, source edge] is the arrow-agreement sign at the
-    image; its determinant equals sign(edge action) times the product of
-    the epsilon signs.
-    """
-    ne = len(g.edges)
-    eps = epsilon_map(g, arrows, a)
-    rows = [[0] * ne for _ in range(ne)]
-    for f in range(ne):
-        image = g.edge_of[a.perm[arrows[f]]]  # the edge that f's arrow tail moves onto
-        rows[image][f] = eps[image]
-    return tuple(tuple(r) for r in rows)
 
 
 def _solve_exact(basis: IntMatrix, image: IntMatrix, k: int) -> IntMatrix:
@@ -242,13 +215,14 @@ def induced_cycle_matrix(
     k = len(basis[0]) if basis else 0
     if k == 0:
         return ()
-    sp = signed_edge_matrix(g, arrows, a)
-    ne = len(g.edges)
-    image = tuple(
-        tuple(sum(sp[i][f] * basis[f][j] for f in range(ne)) for j in range(k))
-        for i in range(ne)
-    )
-    return _solve_exact(basis, image, k)
+    # The edge action is a signed permutation: edge f moves onto pi[f], with
+    # the arrow-agreement sign there, so each basis row moves as a whole.
+    pi = induced_edge_perm(g, a.perm)
+    eps = epsilon_map(g, arrows, a)
+    image: list[tuple[int, ...]] = [()] * len(g.edges)
+    for f, row in enumerate(basis):
+        image[pi[f]] = tuple(eps[pi[f]] * x for x in row)
+    return _solve_exact(basis, tuple(image), k)
 
 
 def det_sign(matrix) -> int:
@@ -290,7 +264,7 @@ def theta_k(
     """Kontsevich homomorphism: sign(edge action) * sign(det of cycle action)."""
     if arrows is None:
         arrows = default_arrows(g)
-    pi = induced_actions(g, a).edge_perm
+    pi = induced_edge_perm(g, a.perm)
     return perms.sign(pi) * det_sign(induced_cycle_matrix(g, arrows, a, vertex_order))
 
 

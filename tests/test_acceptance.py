@@ -5,12 +5,13 @@ The corpus bounds and tolerances are fixed here; every comparison is on
 exact values in {+1, -1}, so all checks are zero-tolerance.
 """
 
+import hashlib
 import random
 from math import prod
 
 from orientkit import perms
 from orientkit.automorphisms import as_automorphism, induced_actions
-from orientkit.corpus import CorpusSpec, sweep_theorem
+from orientkit.corpus import CorpusSpec, render_report, sweep_theorem
 from orientkit.families import family_instances, proof_case_values, eq1_check
 from orientkit.orientation import (
     ThetaHom,
@@ -22,13 +23,12 @@ from orientkit.orientation import (
     or_orbits_bruteforce,
     orientability,
     random_arrows,
-    signed_edge_matrix,
     theta_k,
     theta_s,
 )
 
 from conftest import complete_graph
-from test_orientation import det_bruteforce
+from test_orientation import det_bruteforce, signed_edge_matrix
 
 SEED = 20260810
 
@@ -40,15 +40,17 @@ def _check(criterion: str, ok: bool) -> None:
 
 def test_criterion_1_theta_agreement_sweep():
     report = sweep_theorem(CorpusSpec(5))
+    digest = hashlib.sha256(render_report(report, "json")).hexdigest()
     ok = (
         report.violations == ()
         and report.totals["graphs"] > 0
         and all(row.agree for row in report.rows)
+        and digest == "cd0035866740eeffaa95930de03bbb84b42a91ce67a5de1139c3631b7b0dfc86"
     )
     _check(
         "1 theta_k == theta_s for every automorphism of every connected "
         f"graph with |E| <= 5 ({report.totals['graphs']} graphs, "
-        f"{report.totals['automorphisms']} automorphisms)",
+        f"{report.totals['automorphisms']} automorphisms), report bytes as pinned",
         ok,
     )
 

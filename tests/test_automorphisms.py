@@ -40,11 +40,11 @@ def test_enumerate_counts_match_bruteforce(loop, double_edge, triangle):
         assert {a.perm for a in auts} == automorphisms_bruteforce(g)
 
 
-def test_enumeration_is_sorted_and_deduplicated(triangle):
-    auts = enumerate_automorphisms(triangle)
-    perms_list = [a.perm for a in auts]
-    assert perms_list == sorted(set(perms_list))
-    assert perms.identity(6) in perms_list
+def test_enumeration_is_sorted_and_deduplicated(corpus3):
+    for g, auts in corpus3:
+        perms_list = [a.perm for a in auts]
+        assert perms_list == sorted(set(perms_list))
+        assert perms.identity(g.half_edge_count) in perms_list
 
 
 def test_group_axioms_on_corpus(corpus3):

@@ -127,6 +127,11 @@ def test_contract_edge_out_of_range_exits_1(triangle_file, capsys, edge):
     assert f"error: edge id {edge} out of range" in capsys.readouterr().err
 
 
+def test_contract_malformed_phi_exits_1(triangle_file, capsys):
+    assert cli_main(["contract", triangle_file, "--edge", "0", "--phi", "[1,x]"]) == 1
+    assert "usage error: argument --phi" in capsys.readouterr().err
+
+
 def test_families_output(capsys):
     assert cli_main(["families", "--max-n", "1", "--family", "I"]) == 0
     out = capsys.readouterr().out
@@ -160,6 +165,33 @@ def test_verify_no_loops_flag(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert payload["totals"]["graphs"] == 1
+
+
+def test_verify_negative_max_edges_exits_1(capsys):
+    assert cli_main(["verify", "--max-edges", "-1"]) == 1
+    assert "usage error: argument --max-edges: expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_non_ascii_graph_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(b"halfedges=2; edges=(0 1); vertices={0 1}\xff\n")
+    assert cli_main(["parse", str(path)]) == 1
+    assert "is not ASCII text" in capsys.readouterr().err
+
+
+def test_bad_cap_setting_exits_1(loop_file, monkeypatch, capsys):
+    monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", "abc")
+    assert cli_main(["aut", loop_file]) == 1
+    assert "error: ORIENTKIT_MAX_HALFEDGES must be an integer" in capsys.readouterr().err
+
+
+def test_internal_errors_are_not_user_errors(loop_file, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("internal bug")
+
+    monkeypatch.setattr(orientkit.cli, "orientability", broken)
+    with pytest.raises(IndexError, match="internal bug"):
+        cli_main(["orient", loop_file])
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import prod
 
@@ -192,6 +193,14 @@ def test_sweep_determinism():
     assert report_to_dict(first) == report_to_dict(second)
     assert render_report(first, "json") == render_report(second, "json")
     assert render_report(first, "csv") == render_report(second, "csv")
+
+
+def test_report_bytes_are_pinned():
+    # The digest `orientkit verify --max-edges 3` has always printed.
+    rendered = render_report(sweep_theorem(CorpusSpec(3)), "json")
+    assert hashlib.sha256(rendered).hexdigest() == (
+        "45771d543bb90c73f5141e5afff427214b4084095ad6c3919fcb506728f328bc"
+    )
 
 
 def test_doctored_theta_is_caught():

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from orientkit import graphs as gr
 from orientkit.graphs import (
@@ -104,10 +105,66 @@ class TestTextFormat:
             assert gr.parse_graph(gr.format_graph(g)) == g
         assert gr.format_graph(gr.validate(0, [], [])) == "halfedges=0; edges=; vertices="
 
+    def test_integers_are_ascii_digits_only(self):
+        for text in ("halfedges=\u0662; edges=(0 1); vertices={0 1}",  # Arabic-Indic 2
+                     "halfedges=\u00b2; edges=; vertices="):  # superscript 2
+            with pytest.raises(GraphSyntaxError, match="expected an integer"):
+                gr.parse_graph(text)
+
+    def test_long_integer_fails_fast(self):
+        start = time.perf_counter()
+        for digits in (19, 5000, 10**6):
+            with pytest.raises(GraphSyntaxError, match="longer than 18 digits"):
+                gr.parse_graph("halfedges=" + "9" * digits + "; edges=; vertices=")
+        assert time.perf_counter() - start < 0.5
+        assert gr.parse_graph("halfedges=" + "0" * 18 + "; edges=; vertices=").edges == ()
+
     def test_format_then_parse_normalizes(self):
         text = "halfedges=4; edges=(3 2)(1 0); vertices={3 0}{2 1}"
         g = gr.parse_graph(text)
         assert gr.format_graph(g) == "halfedges=4; edges=(0 1)(2 3); vertices={0 3}{1 2}"
+
+
+@st.composite
+def raw_graphs(draw):
+    """A random valid pairing and vertex partition, as unnormalized blocks."""
+    count = 2 * draw(st.integers(0, 6))
+    ids = draw(st.permutations(range(count)))
+    edges = [ids[i : i + 2] for i in range(0, count, 2)]
+    order = draw(st.permutations(range(count)))
+    cuts = sorted(draw(st.sets(st.integers(1, count - 1)))) if count else []
+    bounds = [0, *cuts, count] if count else []
+    vertices = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    return count, edges, draw(st.permutations(vertices))
+
+
+def raw_text(count, edges, vertices, sep=""):
+    pairs = sep.join(f"({a} {b})" for a, b in edges)
+    blocks = sep.join("{" + " ".join(map(str, block)) + "}" for block in vertices)
+    return f"halfedges={count};{sep}edges={pairs};{sep}vertices={blocks}"
+
+
+@given(raw_graphs(), st.sampled_from(["", " ", "\n", " \t "]))
+def test_parse_format_roundtrip_property(raw, sep):
+    g = gr.validate(*raw)
+    assert gr.parse_graph(raw_text(*raw, sep)) == g
+    assert gr.parse_graph(gr.format_graph(g)) == g
+    assert gr.format_graph(gr.parse_graph(gr.format_graph(g))) == gr.format_graph(g)
+
+
+_TOKENS = ("halfedges", "edges", "vertices", "=", ";", "(", ")", "{", "}", " ", "\n",
+           "0", "1", "2", "3", "17", "-1", "x", "\u00b2", "\u0662", "9" * 30)
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_TOKENS)).map("".join)))
+@example("halfedges=\u00b2; edges=; vertices=")
+@example("halfedges=" + "9" * 5000 + "; edges=; vertices=")
+def test_arbitrary_text_parses_or_raises_graph_error(text):
+    try:
+        g = gr.parse_graph(text)
+    except gr.GraphError:
+        return
+    assert isinstance(g, gr.Graph)
 
 
 class TestQueries:
@@ -188,6 +245,13 @@ class TestContraction:
                     result = gr.orbit_contraction(g, a.perm, e)
                     assert gr.preserves_partitions(result.graph, result.induced)
 
+    def test_edge_id_out_of_range_is_a_graph_error(self, triangle):
+        for e in (-1, 3):
+            with pytest.raises(gr.GraphError, match=f"edge id {e} out of range"):
+                gr.contract_edge(triangle, e)
+            with pytest.raises(gr.GraphError, match=f"edge id {e} out of range"):
+                gr.orbit_contraction(triangle, tuple(range(6)), e)
+
     def test_orbit_contraction_rejects_non_automorphism(self, triangle):
         with pytest.raises(NotAnAutomorphism):
             gr.orbit_contraction(triangle, (1, 0, 2, 3, 4, 5), 0)
@@ -238,6 +302,14 @@ class TestCanonicalForm:
         monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", "10")
         with pytest.raises(SizeLimitExceeded):
             gr.canonical_form(flower(6))
+
+
+def test_cap_setting_must_be_an_integer(monkeypatch):
+    from orientkit.limits import CapSettingError
+
+    monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", "abc")
+    with pytest.raises(CapSettingError, match="ORIENTKIT_MAX_HALFEDGES"):
+        gr.canonical_form(flower(1))
 
 
 def test_helper_builders():

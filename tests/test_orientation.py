@@ -19,7 +19,6 @@ from orientkit.orientation import (
     or_orbits_bruteforce,
     orientability,
     random_arrows,
-    signed_edge_matrix,
     theta_k,
     theta_parity,
     theta_s,
@@ -41,6 +40,27 @@ def det_bruteforce(matrix):
             term *= matrix[i][p[i]]
         total += term
     return total
+
+
+def signed_edge_matrix(g, arrows, a):
+    """Literal |E| x |E| signed permutation matrix of the edge action.
+
+    Entry [image edge, source edge] is the arrow-agreement sign at the
+    image; its determinant equals sign(edge action) times the product of
+    the epsilon signs.
+    """
+    ne = len(g.edges)
+    eps = epsilon_map(g, arrows, a)
+    rows = [[0] * ne for _ in range(ne)]
+    for f in range(ne):
+        image = g.edge_of[a.perm[arrows[f]]]  # the edge that f's arrow tail moves onto
+        rows[image][f] = eps[image]
+    return rows
+
+
+def matmul(x, y):
+    return [[sum(x[i][t] * y[t][j] for t in range(len(y))) for j in range(len(y[0]))]
+            for i in range(len(x))]
 
 
 def incidence_boundary(g, arrows, column):
@@ -139,6 +159,19 @@ class TestInducedCycleMatrix:
             k = g.first_betti()
             expected = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
             assert induced_cycle_matrix(g, default_arrows(g), ident) == expected
+
+    def test_moves_basis_like_signed_edge_matrix(self, corpus3):
+        # basis has full column rank, so basis @ X == S @ basis pins X.
+        rng = random.Random(5)
+        for g, auts in corpus3:
+            if not g.first_betti():
+                continue
+            for arrows in [default_arrows(g)] + [random_arrows(g, rng) for _ in range(5)]:
+                basis = cycle_basis(g, arrows)
+                for a in auts:
+                    x = induced_cycle_matrix(g, arrows, a)
+                    s = signed_edge_matrix(g, arrows, a)
+                    assert matmul(basis, x) == matmul(s, basis)
 
     def test_always_unimodular(self, corpus3):
         for g, auts in corpus3:
