@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import perms
@@ -61,8 +62,11 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
 
     Backtracking over half-edge images: a candidate must sit in a vertex
     block compatible with the partial map and share the (vertex valence,
-    vertex loop count, on-a-loop) signature of its preimage. Raises
-    ``SizeLimitExceeded`` above the half-edge cap.
+    vertex loop count, on-a-loop) signature of its preimage. Half-edges are
+    assigned vertex by vertex in BFS order, one component at a time, each
+    followed by its partner; so past a component's root every vertex's
+    image is forced by an edge already mapped. The automorphisms are then
+    sorted. Raises ``SizeLimitExceeded`` above the half-edge cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     n = g.half_edge_count
@@ -75,19 +79,35 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
     vsig = [(len(g.vertices[v]), g.loop_count(v)) for v in range(nv)]
     hsig = [(vsig[vertex_of[h]], vertex_of[h] == vertex_of[partner[h]]) for h in range(n)]
 
+    order: list[int] = []
+    placed = [False] * n
+    reached = [False] * nv
+    for root in range(nv):
+        if reached[root]:
+            continue
+        reached[root] = True
+        queue = deque([root])
+        while queue:
+            for h in g.vertices[queue.popleft()]:
+                p = partner[h]
+                if not placed[h]:
+                    placed[h] = placed[p] = True
+                    order += (h, p)
+                if not reached[vertex_of[p]]:
+                    reached[vertex_of[p]] = True
+                    queue.append(vertex_of[p])
+
     img = [-1] * n
     used = [False] * n
     vimg = [-1] * nv
     vtaken = [False] * nv
     found: list[Perm] = []
 
-    # Candidates are tried in ascending order at every depth (a single
-    # partner image, a normalized vertex block, or range(n)), so the
-    # image lists come out in lexicographic order without a sort.
-    def extend(h: int) -> None:
-        if h == n:
+    def extend(i: int) -> None:
+        if i == n:
             found.append(tuple(img))
             return
+        h = order[i]
         hv = vertex_of[h]
         p = partner[h]
         if img[p] >= 0:
@@ -111,7 +131,7 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
             if fresh:
                 vimg[hv] = xv
                 vtaken[xv] = True
-            extend(h + 1)
+            extend(i + 1)
             if fresh:
                 vimg[hv] = -1
                 vtaken[xv] = False
@@ -119,6 +139,9 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
             used[x] = False
 
     extend(0)
+    # The search order follows the edges, not the ids, so the image lists
+    # arrive unsorted; callers and witnesses rely on lexicographic order.
+    found.sort()
     return [Automorphism(g, p) for p in found]
 
 

@@ -15,6 +15,8 @@ any normalized ``g``.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -146,6 +148,13 @@ def merge_classes(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
 _MAX_IDS_SHOWN = 8
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+
+
 def validate(
     half_edge_count: int,
     edges: Iterable[Iterable[int]],
@@ -155,9 +164,10 @@ def validate(
 
     The edge blocks must partition 0..half_edge_count-1 into pairs and the
     vertex blocks into non-empty sets. Raises a ``GraphError`` subclass
-    naming the first defect found.
+    naming the first defect found, and ``GraphError`` itself for a count or
+    id that is not an integer (one ``operator.index`` rejects).
     """
-    count = int(half_edge_count)
+    count = _integer(half_edge_count, "half-edge count")
     if count < 0 or count % 2:
         raise OddHalfEdgeCountError(f"half-edge count must be even and >= 0, got {count}")
 
@@ -178,7 +188,7 @@ def validate(
 
     edge_blocks = []
     for raw in edges:
-        block = tuple(int(h) for h in raw)
+        block = tuple(_integer(h, "half-edge id") for h in raw)
         if len(block) != 2 or block[0] == block[1]:
             raise BadEdgeArityError(f"edge block must hold two distinct half-edges, got {block}")
         edge_blocks.append(block)
@@ -190,7 +200,7 @@ def validate(
 
     vertex_blocks = []
     for raw in vertices:
-        block = tuple(int(h) for h in raw)
+        block = tuple(_integer(h, "half-edge id") for h in raw)
         if not block:
             raise EmptyVertexError("vertex block is empty")
         vertex_blocks.append(block)
@@ -214,6 +224,14 @@ def validate(
 # A valid graph's half-edge count and ids are below its text's length, so
 # no graph needs longer integers, and int() never meets Python's digit limit.
 _MAX_DIGITS = 18
+_SPACE = re.compile(r"\s*")  # \s matches exactly the characters str.isspace accepts
+# Runs of well-formed pairs and sets, matched at C speed so that a long
+# input costs little per block; the scanner reports any defect after a run.
+_INT = f"[0-9]{{1,{_MAX_DIGITS}}}"
+_PAIR_RUN = re.compile(rf"(?:\s*\(\s*{_INT}\s+{_INT}\s*\))*")
+_SET_RUN = re.compile(rf"(?:\s*\{{\s*{_INT}(?:\s+{_INT})*\s*\}})*")
+_PAIR = re.compile(r"([0-9]+)\s+([0-9]+)")
+_SET_BODY = re.compile(r"\{([^}]*)\}")
 
 
 class _Scanner:
@@ -227,8 +245,7 @@ class _Scanner:
         return GraphSyntaxError(message, line, column)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -243,6 +260,12 @@ class _Scanner:
         if not self.text.startswith(literal, self.pos):
             raise self.error(f"expected {literal!r}")
         self.pos += len(literal)
+
+    def run(self, pattern: re.Pattern) -> str:
+        """Consume and return the longest prefix that ``pattern`` matches."""
+        match = pattern.match(self.text, self.pos)
+        self.pos = match.end()
+        return match.group()
 
     def integer(self) -> int:
         self.skip_ws()
@@ -269,8 +292,8 @@ def parse_graph(text: str) -> Graph:
     sc.take(";")
     sc.take("edges")
     sc.take("=")
-    edges = []
-    while sc.peek("("):
+    edges = [(int(a), int(b)) for a, b in _PAIR.findall(sc.run(_PAIR_RUN))]
+    while sc.peek("("):  # only a malformed pair is left: the scanner finds its defect
         sc.take("(")
         a = sc.integer()
         b = sc.integer()
@@ -279,8 +302,8 @@ def parse_graph(text: str) -> Graph:
     sc.take(";")
     sc.take("vertices")
     sc.take("=")
-    vertices = []
-    while sc.peek("{"):
+    vertices = [tuple(map(int, body.split())) for body in _SET_BODY.findall(sc.run(_SET_RUN))]
+    while sc.peek("{"):  # likewise for a malformed set
         sc.take("{")
         ids = [sc.integer()]
         while not sc.peek("}"):

@@ -13,7 +13,7 @@ class SizeLimitExceeded(RuntimeError):
 
 
 class CapSettingError(ValueError):
-    """The environment variable that sets the cap does not hold an integer."""
+    """The environment variable that sets the cap does not hold an integer >= 0."""
 
 
 def half_edge_cap(override: int | None = None) -> int:
@@ -23,10 +23,14 @@ def half_edge_cap(override: int | None = None) -> int:
     value = os.environ.get(ENV_VAR)
     if not value:
         return DEFAULT_MAX_HALF_EDGES
+    message = f"{ENV_VAR} must be an integer >= 0, got {value!r}"
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
-        raise CapSettingError(f"{ENV_VAR} must be an integer, got {value!r}") from None
+        raise CapSettingError(message) from None
+    if cap < 0:
+        raise CapSettingError(message)
+    return cap
 
 
 def check_half_edges(count: int, override: int | None = None) -> None:

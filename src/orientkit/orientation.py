@@ -24,9 +24,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import itemgetter
 
 from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
-from .graphs import Graph, induced_edge_perm, merge_classes
+from .graphs import Graph, induced_edge_perm
 from .limits import SizeLimitExceeded
 from . import perms
 from .perms import Perm
@@ -310,36 +311,45 @@ def or_orbits_bruteforce(
     1..|V| and eps in {+1,-1}; an automorphism acts by relabeling tau along
     its vertex action and multiplying eps by its theta value. Returns the
     orbit count, whether the global sign flip acts freely on orbits, and
-    the orbits themselves. This is the slow oracle for ``orientability``.
+    the orbits themselves, each sorted, ordered by their first pair in
+    (tau in ``itertools.permutations`` order, then eps = +1 before -1).
+    This is the slow oracle for ``orientability``.
+
+    Theta is evaluated on every automorphism; the list is then reduced to
+    its distinct (inverse vertex action, theta value) pairs, which act on
+    (tau, eps) exactly as the whole group does. Each orbit is the set of
+    images of its first pair under those actions, so the cost is the
+    number of orbits times the number of distinct actions. Nothing about
+    which automorphisms glue signs is assumed. Raises ``RuntimeError`` if
+    the actions do not form a group (an orbit misses its own first pair
+    or meets an earlier orbit), which is an internal bug.
     """
     nv = len(g.vertices)
     if nv > 8:
         raise SizeLimitExceeded(f"brute-force orbit search limited to 8 vertices, got {nv}")
     auts = enumerate_automorphisms(g, max_half_edges)
-    actions = [
+    actions = dict.fromkeys(
         (perms.inverse(induced_actions(g, a).vertex_perm), theta.evaluate(g, a)) for a in auts
-    ]
-
-    taus = list(itertools.permutations(range(1, nv + 1)))
-    pairs = [(tau, eps) for tau in taus for eps in (1, -1)]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    # Relabeling tau along sigma sends sigma[v] to tau[v], so w to tau[sigma^-1(w)].
-    root = merge_classes(
-        len(pairs),
-        (
-            (index[(tau, eps)], index[(tuple([tau[v] for v in inv]), value * eps)])
-            for inv, value in actions
-            for tau, eps in pairs
-        ),
     )
-    orbits: dict[int, list[tuple[Perm, int]]] = {}
-    for r, pair in zip(root, pairs):
-        orbits.setdefault(r, []).append(pair)
-    orbit_list = tuple(tuple(sorted(members)) for _, members in sorted(orbits.items()))
+    # Relabeling tau along sigma sends sigma[v] to tau[v], so w to
+    # tau[sigma^-1(w)]. itemgetter returns a bare item for one index, but
+    # below two vertices every vertex action is the identity.
+    movers = [(itemgetter(*inv) if nv > 1 else tuple, value) for inv, value in actions]
+
+    seen: set[tuple[Perm, int]] = set()
+    orbits: list[tuple[tuple[Perm, int], ...]] = []
     z2_free = True
-    for members in orbit_list:
-        member_set = set(members)
-        if any((tau, -eps) in member_set for tau, eps in members):
-            z2_free = False
-            break
-    return len(orbit_list), z2_free, orbit_list
+    for tau in itertools.permutations(range(1, nv + 1)):
+        for eps in (1, -1):
+            if (tau, eps) in seen:
+                continue
+            orbit = {(move(tau), value * eps) for move, value in movers}
+            if (tau, eps) not in orbit or not seen.isdisjoint(orbit):
+                raise RuntimeError("automorphism actions do not form a group")
+            seen |= orbit
+            # Orbits partition the pairs and the flip maps orbits to orbits,
+            # so it fixes this orbit iff the orbit holds the flipped first pair.
+            if (tau, -eps) in orbit:
+                z2_free = False
+            orbits.append(tuple(sorted(orbit)))
+    return len(orbits), z2_free, tuple(orbits)

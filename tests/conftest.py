@@ -57,6 +57,12 @@ def corpus3():
 
 
 @pytest.fixture(scope="session")
+def corpus4():
+    """Connected corpus with loops at |E| <= 4, with automorphism groups."""
+    return [(g, enumerate_automorphisms(g)) for g in enumerate_graphs(CorpusSpec(4))]
+
+
+@pytest.fixture(scope="session")
 def corpus5():
     """Connected corpus with loops at |E| <= 5, with automorphism groups."""
     return [(g, enumerate_automorphisms(g)) for g in enumerate_graphs(CorpusSpec(5))]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from orientkit.automorphisms import (
 from orientkit.graphs import NotAnAutomorphism, preserves_partitions
 from orientkit.limits import SizeLimitExceeded
 
-from conftest import complete_graph, flower
+from conftest import complete_graph, flower, relabel
 
 
 def automorphisms_bruteforce(g):
@@ -45,6 +46,30 @@ def test_enumeration_is_sorted_and_deduplicated(corpus3):
         perms_list = [a.perm for a in auts]
         assert perms_list == sorted(set(perms_list))
         assert perms.identity(g.half_edge_count) in perms_list
+
+
+def test_search_order_does_not_depend_on_labels(corpus4):
+    # The search follows the graph, not the ids: under a relabelling it
+    # must still return the whole group, conjugated, sorted, once each.
+    rng = random.Random(4)
+    for g, auts in corpus4:
+        for trial in range(3):
+            images = list(range(g.half_edge_count))
+            rng.shuffle(images)
+            h = relabel(g, images)
+            found = [a.perm for a in enumerate_automorphisms(h)]
+            assert found == sorted(set(found))
+            conjugates = []
+            for a in auts:
+                q = [0] * len(images)
+                for x, y in enumerate(a.perm):
+                    q[images[x]] = images[y]
+                conjugates.append(tuple(q))
+            assert found == sorted(conjugates)
+            # One brute-force check per graph pins the other two through
+            # the conjugates.
+            if trial == 0 and h.half_edge_count <= 8:
+                assert set(found) == automorphisms_bruteforce(h)
 
 
 def test_group_axioms_on_corpus(corpus3):

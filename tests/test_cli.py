@@ -185,6 +185,14 @@ def test_bad_cap_setting_exits_1(loop_file, monkeypatch, capsys):
     assert "error: ORIENTKIT_MAX_HALFEDGES must be an integer" in capsys.readouterr().err
 
 
+def test_negative_cap_setting_exits_1(loop_file, monkeypatch, capsys):
+    monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", "-5")
+    assert cli_main(["aut", loop_file]) == 1
+    err = capsys.readouterr().err
+    assert "error: ORIENTKIT_MAX_HALFEDGES must be an integer >= 0, got '-5'" in err
+    assert "above the cap" not in err
+
+
 def test_internal_errors_are_not_user_errors(loop_file, monkeypatch):
     def broken(*args, **kwargs):
         raise IndexError("internal bug")

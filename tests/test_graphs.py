@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orientkit import graphs as gr
 from orientkit.graphs import (
@@ -72,6 +72,28 @@ class TestValidate:
         assert str(err.value) == (
             "half-edges [1, 2, 3, 4, 5, 6, 7, 8] and 31 more missing from the vertex partition"
         )
+
+    def test_non_integer_ids_and_counts_are_graph_errors(self):
+        for args in ((2.9, [(0, 1.7)], [(0.2, 1)]), (2.0, [(0, 1)], [(0, 1)]),
+                     ("2", [(0, 1)], [(0, 1)]), (2, [(0, 1.0)], [(0, 1)]),
+                     (2, [(0, 1)], [(0, "1")]), (None, [], [])):
+            with pytest.raises(gr.GraphError, match="must be an integer"):
+                gr.validate(*args)
+
+    @given(st.integers(0, 4).flatmap(lambda e: st.tuples(
+        st.sampled_from([2 * e, 2.0 * e, 2 * e + 0.5]),
+        st.lists(st.lists(st.sampled_from([0, 1, 2.0, 1.5, "1"]), min_size=2, max_size=2),
+                 max_size=e),
+        st.lists(st.lists(st.sampled_from([0, 1, 2, 0.0, 3.5]), max_size=3), max_size=3))))
+    def test_validate_never_truncates(self, raw):
+        count, edges, vertices = raw
+        try:
+            g = gr.validate(count, edges, vertices)
+        except gr.GraphError:
+            return
+        ids = [count, *(h for block in edges + vertices for h in block)]
+        assert all(type(x) is int for x in ids)
+        assert g.half_edge_count == count
 
     def test_empty_graph(self):
         g = gr.validate(0, [], [])
@@ -165,6 +187,30 @@ def test_arbitrary_text_parses_or_raises_graph_error(text):
     except gr.GraphError:
         return
     assert isinstance(g, gr.Graph)
+
+
+_VALID = ("halfedges=4; edges=(0 1)(2 3); vertices={0 2}{1 3}",
+          "halfedges=2;\nedges=(0 1);\nvertices={0 1}\n")
+_FILLERS = (" ", "\n", "\t", "(", ")", "{", "}", "(0 1)", "{0}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_VALID), st.sampled_from(_FILLERS), st.integers(0, 60))
+@example(_VALID[0], "(0 1)", _VALID[0].index("("))  # 200,000 more edges
+@example(_VALID[0], "{0}", _VALID[0].index("{"))  # 333,333 more vertices
+@example(_VALID[0], "{0}", len(_VALID[0]))
+@example(_VALID[1], " ", _VALID[1].index("1"))
+def test_long_hostile_input_fails_fast(base, filler, at):
+    # 10^6 characters of one filler anywhere in a valid graph: linear-time
+    # parsing either accepts the text or raises a GraphError, quickly.
+    at = min(at, len(base))
+    text = base[:at] + filler * (10**6 // len(filler)) + base[at:]
+    start = time.perf_counter()
+    try:
+        gr.parse_graph(text)
+    except gr.GraphError:
+        pass
+    assert time.perf_counter() - start < 2.0
 
 
 class TestQueries:
@@ -309,6 +355,15 @@ def test_cap_setting_must_be_an_integer(monkeypatch):
 
     monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", "abc")
     with pytest.raises(CapSettingError, match="ORIENTKIT_MAX_HALFEDGES"):
+        gr.canonical_form(flower(1))
+
+
+@pytest.mark.parametrize("setting", ["-5", "-1"])
+def test_cap_setting_must_not_be_negative(monkeypatch, setting):
+    from orientkit.limits import CapSettingError
+
+    monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", setting)
+    with pytest.raises(CapSettingError, match="ORIENTKIT_MAX_HALFEDGES must be an integer >= 0"):
         gr.canonical_form(flower(1))
 
 

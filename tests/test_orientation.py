@@ -1,13 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
-from orientkit import perms
+import orientkit.orientation
+from orientkit import CorpusSpec, enumerate_graphs, perms
 from orientkit.automorphisms import as_automorphism, enumerate_automorphisms, induced_actions
-from orientkit.graphs import validate
+from orientkit.cli import cli_main
+from orientkit.graphs import merge_classes, validate
 from orientkit.orientation import (
     ThetaHom,
     Verdict,
@@ -24,7 +26,7 @@ from orientkit.orientation import (
     theta_s,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, graph_from_vertex_pairs, relabel
 
 
 def det_bruteforce(matrix):
@@ -56,6 +58,38 @@ def signed_edge_matrix(g, arrows, a):
         image = g.edge_of[a.perm[arrows[f]]]  # the edge that f's arrow tail moves onto
         rows[image][f] = eps[image]
     return rows
+
+
+def or_orbits_union_find(g, theta):
+    """Literal orbit oracle: one union-find link from every (tau, eps) pair
+    to its image under every automorphism, |Aut| * 2 * |V|! links in all."""
+    nv = len(g.vertices)
+    actions = [
+        (perms.inverse(induced_actions(g, a).vertex_perm), theta.evaluate(g, a))
+        for a in enumerate_automorphisms(g)
+    ]
+    taus = list(itertools.permutations(range(1, nv + 1)))
+    pairs = [(tau, eps) for tau in taus for eps in (1, -1)]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    root = merge_classes(
+        len(pairs),
+        (
+            (index[(tau, eps)], index[(tuple([tau[v] for v in inv]), value * eps)])
+            for inv, value in actions
+            for tau, eps in pairs
+        ),
+    )
+    orbits = {}
+    for r, pair in zip(root, pairs):
+        orbits.setdefault(r, []).append(pair)
+    orbit_list = tuple(tuple(sorted(members)) for _, members in sorted(orbits.items()))
+    z2_free = True
+    for members in orbit_list:
+        member_set = set(members)
+        if any((tau, -eps) in member_set for tau, eps in members):
+            z2_free = False
+            break
+    return len(orbit_list), z2_free, orbit_list
 
 
 def matmul(x, y):
@@ -286,6 +320,46 @@ class TestOrOrbits:
                 _, free, _ = or_orbits_bruteforce(g, theta)
                 verdict = orientability(g, theta).verdict
                 assert free == (verdict is Verdict.ORIENTABLE)
+
+    def test_matches_union_find_oracle(self):
+        # Every class with at most 4 edges, loops and disconnected graphs
+        # included, except where the literal oracle's |Aut| * 2 * |V|! links
+        # pass 2 * 10^5: four disjoint edges (15.5M links per theta) and one
+        # 7-vertex graph (0.97M).
+        skipped = 0
+        for g in enumerate_graphs(CorpusSpec(4, connected_only=False)):
+            if len(enumerate_automorphisms(g)) * factorial(len(g.vertices)) > 10**5:
+                skipped += 1
+                continue
+            for theta in ThetaHom:
+                assert or_orbits_bruteforce(g, theta) == or_orbits_union_find(g, theta)
+        assert skipped == 2
+
+    @pytest.mark.parametrize("shape", ["01 06 12 23 34 45 56", "01 02 03 03 03 34 45"])
+    def test_matches_union_find_oracle_when_relabelled(self, shape):
+        pairs = [(int(t[0]), int(t[1])) for t in shape.split()]
+        base = graph_from_vertex_pairs(pairs, 1 + max(map(max, pairs)))
+        rng = random.Random(shape)
+        for _ in range(3):
+            images = list(range(base.half_edge_count))
+            rng.shuffle(images)
+            g = relabel(base, images)
+            for theta in ThetaHom:
+                assert or_orbits_bruteforce(g, theta) == or_orbits_union_find(g, theta)
+
+    @pytest.mark.parametrize("dropped", range(6))
+    def test_actions_that_are_not_a_group_raise(self, triangle, monkeypatch, tmp_path, dropped):
+        def without_one(g, max_half_edges=None):
+            auts = enumerate_automorphisms(g, max_half_edges)
+            return auts[:dropped] + auts[dropped + 1 :]
+
+        monkeypatch.setattr(orientkit.orientation, "enumerate_automorphisms", without_one)
+        with pytest.raises(RuntimeError, match="do not form a group"):
+            or_orbits_bruteforce(triangle, ThetaHom.KONTSEVICH)
+        path = tmp_path / "triangle.graph"
+        path.write_text("halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}\n")
+        with pytest.raises(RuntimeError, match="do not form a group"):
+            cli_main(["orient", str(path), "--bruteforce"])
 
     def test_size_guard(self):
         from orientkit.limits import SizeLimitExceeded
