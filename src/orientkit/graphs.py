@@ -225,13 +225,7 @@ def validate(
 # no graph needs longer integers, and int() never meets Python's digit limit.
 _MAX_DIGITS = 18
 _SPACE = re.compile(r"\s*")  # \s matches exactly the characters str.isspace accepts
-# Runs of well-formed pairs and sets, matched at C speed so that a long
-# input costs little per block; the scanner reports any defect after a run.
-_INT = f"[0-9]{{1,{_MAX_DIGITS}}}"
-_PAIR_RUN = re.compile(rf"(?:\s*\(\s*{_INT}\s+{_INT}\s*\))*")
-_SET_RUN = re.compile(rf"(?:\s*\{{\s*{_INT}(?:\s+{_INT})*\s*\}})*")
-_PAIR = re.compile(r"([0-9]+)\s+([0-9]+)")
-_SET_BODY = re.compile(r"\{([^}]*)\}")
+_INTEGER = re.compile(r"\s*([0-9]*)")
 
 
 class _Scanner:
@@ -251,9 +245,13 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self, ch: str) -> bool:
+    def accept(self, ch: str) -> bool:
+        """Consume ``ch`` if it comes next (after whitespace)."""
         self.skip_ws()
-        return self.text.startswith(ch, self.pos)
+        if not self.text.startswith(ch, self.pos):
+            return False
+        self.pos += len(ch)
+        return True
 
     def take(self, literal: str) -> None:
         self.skip_ws()
@@ -261,22 +259,17 @@ class _Scanner:
             raise self.error(f"expected {literal!r}")
         self.pos += len(literal)
 
-    def run(self, pattern: re.Pattern) -> str:
-        """Consume and return the longest prefix that ``pattern`` matches."""
-        match = pattern.match(self.text, self.pos)
-        self.pos = match.end()
-        return match.group()
-
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            if self.pos - start == _MAX_DIGITS:
-                raise self.error(f"integer longer than {_MAX_DIGITS} digits")
-            self.pos += 1
-        if self.pos == start:
+        match = _INTEGER.match(self.text, self.pos)
+        self.pos = match.start(1)
+        digits = match.group(1)
+        if not digits:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        if len(digits) > _MAX_DIGITS:
+            self.pos += _MAX_DIGITS
+            raise self.error(f"integer longer than {_MAX_DIGITS} digits")
+        self.pos = match.end()
+        return int(digits)
 
 
 def parse_graph(text: str) -> Graph:
@@ -292,9 +285,8 @@ def parse_graph(text: str) -> Graph:
     sc.take(";")
     sc.take("edges")
     sc.take("=")
-    edges = [(int(a), int(b)) for a, b in _PAIR.findall(sc.run(_PAIR_RUN))]
-    while sc.peek("("):  # only a malformed pair is left: the scanner finds its defect
-        sc.take("(")
+    edges = []
+    while sc.accept("("):
         a = sc.integer()
         b = sc.integer()
         sc.take(")")
@@ -302,13 +294,11 @@ def parse_graph(text: str) -> Graph:
     sc.take(";")
     sc.take("vertices")
     sc.take("=")
-    vertices = [tuple(map(int, body.split())) for body in _SET_BODY.findall(sc.run(_SET_RUN))]
-    while sc.peek("{"):  # likewise for a malformed set
-        sc.take("{")
+    vertices = []
+    while sc.accept("{"):
         ids = [sc.integer()]
-        while not sc.peek("}"):
+        while not sc.accept("}"):
             ids.append(sc.integer())
-        sc.take("}")
         vertices.append(tuple(ids))
     if not sc.at_end():
         raise sc.error("unexpected trailing input")

@@ -321,8 +321,9 @@ def or_orbits_bruteforce(
     images of its first pair under those actions, so the cost is the
     number of orbits times the number of distinct actions. Nothing about
     which automorphisms glue signs is assumed. Raises ``RuntimeError`` if
-    the actions do not form a group (an orbit misses its own first pair
-    or meets an earlier orbit), which is an internal bug.
+    the images of a first pair miss that pair or meet an earlier orbit,
+    which guards against a broken enumeration; this is not a full check
+    that the actions are closed under composition.
     """
     nv = len(g.vertices)
     if nv > 8:
