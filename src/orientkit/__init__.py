@@ -40,7 +40,6 @@ from .graphs import (
     OrbitContraction,
     canonical_form,
     canonical_graph,
-    contract_edge,
     format_graph,
     is_isomorphic,
     orbit_contraction,

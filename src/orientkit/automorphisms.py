@@ -43,7 +43,7 @@ class CycleData:
 
 
 def is_automorphism(g: Graph, p: Perm) -> bool:
-    """True iff p preserves the edge and vertex partitions blockwise."""
+    """True iff p is a bijection that preserves the edge and vertex partitions blockwise."""
     if len(p) != g.half_edge_count:
         raise ValueError(f"domain mismatch: permutation on {len(p)} points, graph has "
                          f"{g.half_edge_count} half-edges")

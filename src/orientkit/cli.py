@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or input errors, 2 violations found by
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -18,7 +19,7 @@ from .automorphisms import (
 )
 from .corpus import CorpusSpec, ReportWriteError, render_report, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
-from .graphs import Graph, GraphError, format_graph, contract_edge, orbit_contraction, parse_graph
+from .graphs import Graph, GraphError, format_graph, orbit_contraction, parse_graph
 from .limits import CapSettingError, SizeLimitExceeded
 from .orientation import (
     ThetaHom,
@@ -38,13 +39,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-_THETA_BY_FLAG = {
-    "k": ThetaHom.KONTSEVICH,
-    "s": ThetaHom.SHOIKHET,
-    "parity": ThetaHom.VERTEX_PARITY,
-}
 
 
 def _count(text: str) -> int:
@@ -139,7 +133,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    theta = _THETA_BY_FLAG[args.theta]
+    theta = ThetaHom(args.theta)
     for g in _read_graphs(args.file):
         report = orientability(g, theta)
         line = f"theta={theta.name} verdict={report.verdict.name}"
@@ -154,13 +148,11 @@ def _cmd_orient(args) -> int:
 
 def _cmd_contract(args) -> int:
     for g in _read_graphs(args.file):
+        phi = perms.identity(g.half_edge_count) if args.phi is None else args.phi
+        result = orbit_contraction(g, phi, args.edge)
+        print(format_graph(result.graph))
         if args.phi is not None:
-            result = orbit_contraction(g, args.phi, args.edge)
-            print(format_graph(result.graph))
             print(f"induced: {perms.format_perm(result.induced)}")
-        else:
-            contracted, _ = contract_edge(g, args.edge)
-            print(format_graph(contracted))
     return 0
 
 
@@ -214,7 +206,9 @@ def _cmd_verify(args) -> int:
     return 2 if report.violations else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call."""
     parser = _Parser(prog="orientkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orient", help="orientability verdict")
     p.add_argument("file")
-    p.add_argument("--theta", choices=sorted(_THETA_BY_FLAG), default="k")
+    p.add_argument("--theta", choices=sorted(t.value for t in ThetaHom), default="k")
     p.add_argument("--bruteforce", action="store_true",
                    help="also run the enumeration-pair orbit oracle")
     p.set_defaults(func=_cmd_orient)

@@ -19,7 +19,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import perms
 from .limits import check_half_edges
@@ -315,7 +315,13 @@ def format_graph(g: Graph) -> str:
 
 
 def preserves_partitions(g: Graph, p: Perm) -> bool:
-    """True iff p maps edge blocks to edge blocks and vertex blocks to vertex blocks."""
+    """True iff p is an automorphism of g.
+
+    That is, p is a bijection of the half-edges 0..n-1 that maps edge
+    blocks to edge blocks and vertex blocks to vertex blocks.
+    """
+    if sorted(p) != list(range(g.half_edge_count)):
+        return False
     partner = g.partner
     for h in range(len(p)):
         if p[partner[h]] != partner[p[h]]:
@@ -342,53 +348,6 @@ def induced_vertex_perm(g: Graph, p: Perm) -> Perm:
 # --- contraction ----------------------------------------------------------
 
 
-def _rebuild(
-    g: Graph,
-    removed: set[int],
-    merge_groups: Sequence[Sequence[int]],
-    removed_edges: set[int],
-) -> tuple[Graph, dict[int, int]]:
-    """Drop ``removed`` half-edges, merge the given vertex groups, renumber.
-
-    The re-index map sends every surviving old id to its new compact id,
-    preserving relative order. Vertex blocks that end up empty are dropped,
-    keeping the result a valid Graph.
-    """
-    survivors = [h for h in range(g.half_edge_count) if h not in removed]
-    remap = {h: i for i, h in enumerate(survivors)}
-    new_edges = [
-        (remap[a], remap[b]) for e, (a, b) in enumerate(g.edges) if e not in removed_edges
-    ]
-    group_of = {}
-    for gi, members in enumerate(merge_groups):
-        for v in members:
-            group_of[v] = gi
-    merged: dict[int, list[int]] = {}
-    new_blocks = []
-    for v, block in enumerate(g.vertices):
-        ids = [remap[h] for h in block if h not in removed]
-        if v in group_of:
-            merged.setdefault(group_of[v], []).extend(ids)
-        elif ids:
-            new_blocks.append(ids)
-    new_blocks.extend(ids for ids in merged.values() if ids)
-    return validate(len(survivors), new_edges, new_blocks), remap
-
-
-def contract_edge(g: Graph, e: int) -> tuple[Graph, dict[int, int]]:
-    """Contract edge e: loops are deleted, non-loops merge their endpoints.
-
-    Returns the contracted graph and the half-edge re-index map. Raises
-    ``GraphError`` if e is out of range.
-    """
-    if not 0 <= e < len(g.edges):
-        raise GraphError(f"edge id {e} out of range")
-    a, b = g.edges[e]
-    if g.is_loop(e):
-        return _rebuild(g, {a, b}, (), {e})
-    return _rebuild(g, {a, b}, [(g.vertex_of[a], g.vertex_of[b])], {e})
-
-
 @dataclass(frozen=True)
 class OrbitContraction:
     """Result of contracting one edge orbit of an automorphism.
@@ -412,46 +371,40 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
     All orbit edges are removed at once; endpoint vertices of non-loop orbit
     edges are merged along the generated equivalence, emptied blocks are
     dropped, and the automorphism induced on the survivors is returned with
-    the re-index map. Raises ``NotAnAutomorphism`` if phi does not preserve
-    the partitions, and ``GraphError`` if e is out of range.
+    the re-index map, which keeps the survivors in id order. Under the
+    identity this contracts the single edge e: a loop is deleted, a
+    non-loop merges its endpoints. Raises ``NotAnAutomorphism`` if phi does
+    not preserve the partitions, and ``GraphError`` if e is out of range.
     """
-    if len(phi) != g.half_edge_count or not preserves_partitions(g, phi):
+    if not preserves_partitions(g, phi):
         raise NotAnAutomorphism("the given permutation is not an automorphism of the graph")
     if not 0 <= e < len(g.edges):
         raise GraphError(f"edge id {e} out of range")
     edge_perm = induced_edge_perm(g, phi)
-    orbit = []
-    cur = e
-    while True:
-        orbit.append(cur)
-        cur = edge_perm[cur]
-        if cur == e:
-            break
-    removed = {h for f in orbit for h in g.edges[f]}
-
+    orbit = [e]
+    while (f := edge_perm[orbit[-1]]) != e:
+        orbit.append(f)
+    vertex_of = g.vertex_of
     root = merge_classes(
-        len(g.vertices), ((g.vertex_of[a], g.vertex_of[b]) for a, b in (g.edges[f] for f in orbit))
+        len(g.vertices), ((vertex_of[a], vertex_of[b]) for a, b in (g.edges[f] for f in orbit))
     )
-    groups: dict[int, list[int]] = {}
-    for v, r in enumerate(root):
-        groups.setdefault(r, []).append(v)
-    merge_groups = [members for members in groups.values() if len(members) > 1]
+    removed = {h for f in orbit for h in g.edges[f]}
+    survivors = [h for h in range(g.half_edge_count) if h not in removed]
+    remap = {h: i for i, h in enumerate(survivors)}
+    blocks: dict[int, list[int]] = {}
+    for h, i in remap.items():
+        blocks.setdefault(root[vertex_of[h]], []).append(i)
+    contracted = validate(
+        len(survivors), [(remap[a], remap[b]) for a, b in g.edges if a in remap], blocks.values()
+    )
 
     # phi permutes the merge classes; record its parity on the ones that die.
     sigma = induced_vertex_perm(g, phi)
-    dropped_roots = sorted(
-        r
-        for r, members in groups.items()
-        if all(h in removed for v in members for h in g.vertices[v])
-    )
-    root_index = {r: i for i, r in enumerate(dropped_roots)}
-    dropped_perm = tuple(root_index[root[sigma[r]]] for r in dropped_roots)
-
-    contracted, remap = _rebuild(g, removed, merge_groups, set(orbit))
-    induced = [0] * len(remap)
-    for h, new_h in remap.items():
-        induced[new_h] = remap[phi[h]]
-    return OrbitContraction(contracted, tuple(induced), remap, perms.sign(dropped_perm))
+    dropped = [r for r, r_root in enumerate(root) if r == r_root and r not in blocks]
+    index = {r: i for i, r in enumerate(dropped)}
+    dropped_perm = tuple(index[root[sigma[r]]] for r in dropped)
+    induced = tuple(remap[phi[h]] for h in survivors)
+    return OrbitContraction(contracted, induced, remap, perms.sign(dropped_perm))
 
 
 # --- canonical form -------------------------------------------------------

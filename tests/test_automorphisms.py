@@ -11,7 +11,7 @@ from orientkit.automorphisms import (
     induced_actions,
     is_automorphism,
 )
-from orientkit.graphs import NotAnAutomorphism, preserves_partitions
+from orientkit.graphs import NotAnAutomorphism, orbit_contraction, parse_graph, preserves_partitions
 from orientkit.limits import SizeLimitExceeded
 
 from conftest import complete_graph, flower, relabel
@@ -142,6 +142,21 @@ def test_odd_power_normalize_stays_in_group(corpus3):
 def test_as_automorphism_rejects(triangle):
     with pytest.raises(NotAnAutomorphism):
         as_automorphism(triangle, (1, 0, 2, 3, 4, 5))
+
+
+def test_automorphism_check_requires_a_bijection():
+    # (0, 1, 0, 1) is not a permutation, yet it sends every edge block into
+    # an edge block and every vertex block into a vertex block.
+    two_loops = parse_graph("halfedges=4; edges=(0 1)(2 3); vertices={0 1}{2 3}")
+    not_a_bijection = (0, 1, 0, 1)
+    assert not preserves_partitions(two_loops, not_a_bijection)
+    assert not is_automorphism(two_loops, not_a_bijection)
+    with pytest.raises(NotAnAutomorphism):
+        as_automorphism(two_loops, not_a_bijection)
+    with pytest.raises(NotAnAutomorphism):
+        orbit_contraction(two_loops, not_a_bijection, 0)
+    assert not preserves_partitions(two_loops, (0, 1, 2, 4))
+    assert not preserves_partitions(two_loops, (0, 1, 2))
 
 
 def test_size_cap_and_override():

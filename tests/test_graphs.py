@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orientkit import graphs as gr
+from orientkit import perms
+from orientkit.families import family_instances
 from orientkit.graphs import (
     BadEdgeArityError,
     CoverageError,
@@ -234,23 +236,23 @@ class TestQueries:
 
 class TestContraction:
     def test_loop_contraction_deletes(self, loop):
-        contracted, remap = gr.contract_edge(loop, 0)
-        assert contracted == gr.validate(0, [], [])
-        assert remap == {}
+        result = gr.orbit_contraction(loop, perms.identity(2), 0)
+        assert result.graph == gr.validate(0, [], [])
+        assert result.remap == {}
 
     def test_triangle_edge_contracts_to_double_edge(self, triangle, double_edge):
-        contracted, remap = gr.contract_edge(triangle, 0)
-        assert gr.is_isomorphic(contracted, double_edge)
-        assert remap == {2: 0, 3: 1, 4: 2, 5: 3}
+        result = gr.orbit_contraction(triangle, perms.identity(6), 0)
+        assert gr.is_isomorphic(result.graph, double_edge)
+        assert result.remap == {2: 0, 3: 1, 4: 2, 5: 3}
 
     def test_double_edge_contracts_to_loop(self, double_edge, loop):
-        contracted, _ = gr.contract_edge(double_edge, 0)
-        assert contracted == loop
+        result = gr.orbit_contraction(double_edge, perms.identity(4), 0)
+        assert result.graph == loop
 
     def test_counting_invariants(self, corpus3):
         for g, _ in corpus3:
             for e in range(len(g.edges)):
-                contracted, _ = gr.contract_edge(g, e)
+                contracted = gr.orbit_contraction(g, perms.identity(g.half_edge_count), e).graph
                 assert len(contracted.edges) == len(g.edges) - 1
                 if g.is_loop(e):
                     assert contracted.first_betti() == g.first_betti() - 1
@@ -280,7 +282,7 @@ class TestContraction:
         # A reflection fixes edge 1; its orbit contraction is a plain contraction.
         refl = (5, 4, 3, 2, 1, 0)
         result = gr.orbit_contraction(triangle, refl, 1)
-        plain, _ = gr.contract_edge(triangle, 1)
+        plain = gr.orbit_contraction(triangle, perms.identity(6), 1).graph
         assert result.graph == plain
         assert gr.preserves_partitions(result.graph, result.induced)
 
@@ -294,13 +296,46 @@ class TestContraction:
     def test_edge_id_out_of_range_is_a_graph_error(self, triangle):
         for e in (-1, 3):
             with pytest.raises(gr.GraphError, match=f"edge id {e} out of range"):
-                gr.contract_edge(triangle, e)
+                gr.orbit_contraction(triangle, perms.identity(6), e)
             with pytest.raises(gr.GraphError, match=f"edge id {e} out of range"):
                 gr.orbit_contraction(triangle, tuple(range(6)), e)
 
     def test_orbit_contraction_rejects_non_automorphism(self, triangle):
         with pytest.raises(NotAnAutomorphism):
             gr.orbit_contraction(triangle, (1, 0, 2, 3, 4, 5), 0)
+
+    def test_orbit_contraction_equals_edge_by_edge(self, corpus3):
+        # Contracting a whole orbit at once must equal contracting its
+        # edges one at a time under the identity, each later edge followed
+        # through the composed re-index map.
+        cases = [(g, a.perm) for g, auts in corpus3 for a in auts]
+        for inst in family_instances(3):
+            for k in range(1, 2**inst.params.n + 1):
+                cases.append((inst.graph, perms.power(inst.psi.perm, k)))
+        multi_edge_with_survivors = 0
+        for g, phi in cases:
+            edge_perm = gr.induced_edge_perm(g, phi)
+            for e in range(len(g.edges)):
+                orbit = [e]
+                while edge_perm[orbit[-1]] != e:
+                    orbit.append(edge_perm[orbit[-1]])
+                current = g
+                remap = {h: h for h in range(g.half_edge_count)}
+                for f in orbit:
+                    a, b = g.edges[f]
+                    step = gr.orbit_contraction(
+                        current,
+                        perms.identity(current.half_edge_count),
+                        current.edges.index((remap[a], remap[b])),
+                    )
+                    remap = {h: step.remap[i] for h, i in remap.items() if i in step.remap}
+                    current = step.graph
+                result = gr.orbit_contraction(g, phi, e)
+                assert result.graph == current
+                assert result.remap == remap
+                if len(orbit) > 1 and result.graph.edges:
+                    multi_edge_with_survivors += 1
+        assert multi_edge_with_survivors > 0
 
 
 class TestCanonicalForm:
