@@ -5,10 +5,8 @@ families, and exhaustive small-graph agreement sweeps."""
 
 from .automorphisms import (
     Automorphism,
-    CycleData,
     InducedActions,
     as_automorphism,
-    automorphism_cycle_data,
     enumerate_automorphisms,
     induced_actions,
     is_automorphism,

@@ -33,15 +33,6 @@ class InducedActions:
     vertex_perm: Perm
 
 
-@dataclass(frozen=True)
-class CycleData:
-    """Cycle-length multisets of the half-edge, edge and vertex actions."""
-
-    half_edges: tuple[int, ...]
-    edges: tuple[int, ...]
-    vertices: tuple[int, ...]
-
-
 def is_automorphism(g: Graph, p: Perm) -> bool:
     """True iff p is a bijection that preserves the edge and vertex partitions blockwise."""
     if len(p) != g.half_edge_count:
@@ -150,13 +141,4 @@ def induced_actions(g: Graph, a: Automorphism) -> InducedActions:
     return InducedActions(
         edge_perm=induced_edge_perm(g, a.perm),
         vertex_perm=induced_vertex_perm(g, a.perm),
-    )
-
-
-def automorphism_cycle_data(g: Graph, a: Automorphism) -> CycleData:
-    acts = induced_actions(g, a)
-    return CycleData(
-        half_edges=tuple(perms.cycle_lengths(a.perm)),
-        edges=tuple(perms.cycle_lengths(acts.edge_perm)),
-        vertices=tuple(perms.cycle_lengths(acts.vertex_perm)),
     )

@@ -12,15 +12,11 @@ import random
 import sys
 
 from . import perms
-from .automorphisms import (
-    as_automorphism,
-    automorphism_cycle_data,
-    enumerate_automorphisms,
-)
+from .automorphisms import as_automorphism, enumerate_automorphisms, induced_actions
 from .corpus import CorpusSpec, ReportWriteError, render_report, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
 from .graphs import Graph, GraphError, format_graph, orbit_contraction, parse_graph
-from .limits import CapSettingError, SizeLimitExceeded
+from .limits import CapSettingError, SizeLimitExceeded, parse_int
 from .orientation import (
     ThetaHom,
     or_orbits_bruteforce,
@@ -77,13 +73,11 @@ def _cmd_aut(args) -> int:
         print(f"graph: {format_graph(g)}")
         print(f"|Aut| = {len(auts)}")
         for a in auts:
-            data = automorphism_cycle_data(g, a)
-            print(
-                f"  {perms.format_perm(a.perm)}"
-                f"  halfedge_cycles={','.join(map(str, data.half_edges))}"
-                f" edge_cycles={','.join(map(str, data.edges))}"
-                f" vertex_cycles={','.join(map(str, data.vertices))}"
-            )
+            acts = induced_actions(g, a)
+            halves, edges, vertices = (",".join(map(str, perms.cycle_lengths(p)))
+                                       for p in (a.perm, acts.edge_perm, acts.vertex_perm))
+            print(f"  {perms.format_perm(a.perm)}  halfedge_cycles={halves}"
+                  f" edge_cycles={edges} vertex_cycles={vertices}")
     return 0
 
 
@@ -197,12 +191,7 @@ def _cmd_verify(args) -> int:
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(render_report(report, args.format).decode("ascii"))
-    totals = report.totals
-    print(
-        f"graphs={totals['graphs']} automorphisms={totals['automorphisms']}"
-        f" violations={totals['violations']}",
-        file=sys.stderr,
-    )
+    print(" ".join(f"{key}={count}" for key, count in report.totals.items()), file=sys.stderr)
     return 2 if report.violations else 0
 
 
@@ -225,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--arrangements", type=_count, default=0,
                    help="also recheck theta_s under N random arrow arrangements")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("orient", help="orientability verdict")
@@ -237,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="contract an edge or a whole orbit")
     p.add_argument("file")
-    p.add_argument("--edge", type=int, required=True)
+    p.add_argument("--edge", type=parse_int, required=True)
     p.add_argument("--phi", type=perms.parse_perm,
                    help="automorphism image list, e.g. [1,0]; contracts the orbit")
     p.set_defaults(func=_cmd_contract)

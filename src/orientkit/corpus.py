@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .automorphisms import Automorphism, enumerate_automorphisms
@@ -61,7 +61,11 @@ class SweepReport:
     spec: CorpusSpec
     rows: tuple[SweepRow, ...]
     violations: tuple[Violation, ...]
-    totals: dict = field(hash=False)
+
+    @property
+    def totals(self) -> dict:
+        auts = sum(row.aut_order for row in self.rows)
+        return {"graphs": len(self.rows), "automorphisms": auts, "violations": len(self.violations)}
 
 
 def _one_edge_more(g: Graph, spec: CorpusSpec) -> Iterator[Graph]:
@@ -142,11 +146,9 @@ def sweep_theorem(
     """
     rows = []
     violations = []
-    total_auts = 0
     for g in enumerate_graphs(spec):
         canon = format_graph(g)
         auts = enumerate_automorphisms(g, spec.max_half_edges)
-        total_auts += len(auts)
         orientable_k = True
         orientable_s = True
         agree = True
@@ -170,12 +172,7 @@ def sweep_theorem(
                 agree=agree,
             )
         )
-    totals = {
-        "graphs": len(rows),
-        "automorphisms": total_auts,
-        "violations": len(violations),
-    }
-    return SweepReport(spec, tuple(rows), tuple(violations), totals)
+    return SweepReport(spec, tuple(rows), tuple(violations))
 
 
 def report_to_dict(report: SweepReport) -> dict:

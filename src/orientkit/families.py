@@ -145,13 +145,9 @@ def family_instances(max_n: int, families: tuple[Family, ...] = tuple(Family)):
     """All legal instances with n <= max_n, in deterministic order."""
     for n in range(max_n + 1):
         for family in families:
-            if family is Family.I:
-                for c in range(n + 1):
-                    yield build_family_I(n, c)
-            else:
-                for c in range(n + 1):
-                    for m in range(n - c + 1):
-                        yield build_family(FamilyParams(family, n, c, m))
+            for c in range(n + 1):
+                for m in range(1 if family is Family.I else n - c + 1):
+                    yield build_family(FamilyParams(family, n, c, m))
 
 
 def verify_family(inst: FamilyInstance) -> list[str]:

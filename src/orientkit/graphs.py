@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import perms
-from .limits import check_half_edges
+from .limits import MAX_DIGITS, check_half_edges
 from .perms import Perm
 
 
@@ -221,9 +221,6 @@ def validate(
 # "halfedges=0; edges=; vertices=".
 
 
-# A valid graph's half-edge count and ids are below its text's length, so
-# no graph needs longer integers, and int() never meets Python's digit limit.
-_MAX_DIGITS = 18
 _SPACE = re.compile(r"\s*")  # \s matches exactly the characters str.isspace accepts
 _INTEGER = re.compile(r"\s*([0-9]*)")
 
@@ -265,9 +262,9 @@ class _Scanner:
         digits = match.group(1)
         if not digits:
             raise self.error("expected an integer")
-        if len(digits) > _MAX_DIGITS:
-            self.pos += _MAX_DIGITS
-            raise self.error(f"integer longer than {_MAX_DIGITS} digits")
+        if len(digits) > MAX_DIGITS:
+            self.pos += MAX_DIGITS
+            raise self.error(f"integer longer than {MAX_DIGITS} digits")
         self.pos = match.end()
         return int(digits)
 
@@ -485,10 +482,10 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     return validate(g.half_edge_count, [(2 * i, 2 * i + 1) for i in range(len(pairs))], blocks)
 
 
-def canonical_form(g: Graph, max_half_edges: int | None = None) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal iff the graphs are isomorphic."""
-    return format_graph(canonical_graph(g, max_half_edges)).encode("ascii")
+    return format_graph(canonical_graph(g)).encode("ascii")
 
 
-def is_isomorphic(g1: Graph, g2: Graph, max_half_edges: int | None = None) -> bool:
-    return canonical_form(g1, max_half_edges) == canonical_form(g2, max_half_edges)
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    return canonical_form(g1) == canonical_form(g2)

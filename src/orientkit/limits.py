@@ -1,11 +1,17 @@
-"""Size cap shared by the exhaustive searches (automorphisms, canonical forms)."""
+"""Size caps: half-edges for the exhaustive searches, digits for integers read from text."""
 
 from __future__ import annotations
 
 import os
+import re
 
 DEFAULT_MAX_HALF_EDGES = 14
 ENV_VAR = "ORIENTKIT_MAX_HALFEDGES"
+
+# A valid graph's half-edge count and ids are below its text's length, so
+# no graph needs longer integers, and int() never meets Python's digit limit.
+MAX_DIGITS = 18
+_INTEGER = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
 
 
 class SizeLimitExceeded(RuntimeError):
@@ -14,6 +20,13 @@ class SizeLimitExceeded(RuntimeError):
 
 class CapSettingError(ValueError):
     """The environment variable that sets the cap does not hold an integer >= 0."""
+
+
+def parse_int(text: str) -> int:
+    """Read text by the graph scanner's rule: an optional "-", then 1 to MAX_DIGITS ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected an integer of at most {MAX_DIGITS} ASCII digits, got {text!r}")
+    return int(text)
 
 
 def half_edge_cap(override: int | None = None) -> int:
@@ -25,7 +38,7 @@ def half_edge_cap(override: int | None = None) -> int:
         return DEFAULT_MAX_HALF_EDGES
     message = f"{ENV_VAR} must be an integer >= 0, got {value!r}"
     try:
-        cap = int(value)
+        cap = parse_int(value)
     except ValueError:
         raise CapSettingError(message) from None
     if cap < 0:

@@ -18,6 +18,7 @@ recomputation.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -229,10 +230,10 @@ def induced_cycle_matrix(
 def det_sign(matrix) -> int:
     """Exact sign of the determinant via fraction-free elimination.
 
-    Accepts any square nested sequence of integers; the 0 x 0 matrix has
-    determinant +1 (empty product).
+    Accepts any square nested sequence of integers, and raises ``TypeError``
+    for any other entry; the 0 x 0 matrix has determinant +1 (empty product).
     """
-    a = [[int(x) for x in row] for row in matrix]
+    a = [[operator.index(x) for x in row] for row in matrix]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
@@ -282,18 +283,14 @@ def glues_signs(g: Graph, a: Automorphism, value: int) -> bool:
     return value == -1 and induced_actions(g, a).vertex_perm == perms.identity(len(g.vertices))
 
 
-def orientability(
-    g: Graph,
-    theta: ThetaHom,
-    max_half_edges: int | None = None,
-) -> OrientationReport:
+def orientability(g: Graph, theta: ThetaHom) -> OrientationReport:
     """Fast orientability verdict for the chosen homomorphism.
 
     The graph is non-orientable exactly when some automorphism glues signs
     (see ``glues_signs``); the first witness in automorphism order is
     reported. ``or_orbits_bruteforce`` is the independent slow oracle.
     """
-    auts = enumerate_automorphisms(g, max_half_edges)
+    auts = enumerate_automorphisms(g)
     values = tuple((a, theta.evaluate(g, a)) for a in auts)
     witness = next((a for a, value in values if glues_signs(g, a, value)), None)
     verdict = Verdict.NON_ORIENTABLE if witness is not None else Verdict.ORIENTABLE
@@ -301,9 +298,7 @@ def orientability(
 
 
 def or_orbits_bruteforce(
-    g: Graph,
-    theta: ThetaHom,
-    max_half_edges: int | None = None,
+    g: Graph, theta: ThetaHom
 ) -> tuple[int, bool, tuple[tuple[tuple[Perm, int], ...], ...]]:
     """Orbits of (vertex enumeration, sign) pairs under the twisted action.
 
@@ -328,7 +323,7 @@ def or_orbits_bruteforce(
     nv = len(g.vertices)
     if nv > 8:
         raise SizeLimitExceeded(f"brute-force orbit search limited to 8 vertices, got {nv}")
-    auts = enumerate_automorphisms(g, max_half_edges)
+    auts = enumerate_automorphisms(g)
     actions = dict.fromkeys(
         (perms.inverse(induced_actions(g, a).vertex_perm), theta.evaluate(g, a)) for a in auts
     )

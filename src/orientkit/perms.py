@@ -7,8 +7,11 @@ a graph.
 
 from __future__ import annotations
 
+import operator
 from math import lcm
 from typing import Iterable
+
+from .limits import parse_int
 
 Perm = tuple[int, ...]
 
@@ -23,7 +26,7 @@ def is_perm(images: Iterable[int]) -> bool:
 
 
 def check_perm(images: Iterable[int]) -> Perm:
-    p = tuple(images)
+    p = tuple(map(operator.index, images))
     if not is_perm(p):
         raise ValueError(f"not a permutation of 0..{len(p) - 1}: {list(p)}")
     return p
@@ -110,4 +113,4 @@ def parse_perm(text: str) -> Perm:
     body = s[1:-1].strip()
     if not body:
         return ()
-    return check_perm(int(tok) for tok in body.split(","))
+    return check_perm(parse_int(tok.strip()) for tok in body.split(","))

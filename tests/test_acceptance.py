@@ -79,12 +79,13 @@ def test_criterion_2_loop_graphs_non_orientable(corpus5):
     )
 
 
-def test_criterion_3_simplex_skeletons():
+def test_criterion_3_simplex_skeletons(monkeypatch):
+    monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", "20")  # K_5 has 20 half-edges
     ok = True
     for m in (3, 4, 5):
         g = complete_graph(m)
-        report = orientability(g, ThetaHom.VERTEX_PARITY, max_half_edges=20)
-        count, _, _ = or_orbits_bruteforce(g, ThetaHom.VERTEX_PARITY, max_half_edges=20)
+        report = orientability(g, ThetaHom.VERTEX_PARITY)
+        count, _, _ = or_orbits_bruteforce(g, ThetaHom.VERTEX_PARITY)
         ok = ok and report.verdict is Verdict.ORIENTABLE and count == 2
     _check("3 complete graphs K_3, K_4, K_5 under vertex parity: orientable "
            "with exactly 2 orbit classes", ok)

@@ -193,6 +193,25 @@ def test_negative_cap_setting_exits_1(loop_file, monkeypatch, capsys):
     assert "above the cap" not in err
 
 
+@pytest.mark.parametrize("setting", ["\u0661\u0664", "1_4"])
+def test_non_ascii_cap_setting_exits_1(loop_file, monkeypatch, capsys, setting):
+    monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", setting)
+    assert cli_main(["aut", loop_file]) == 1
+    assert f"error: ORIENTKIT_MAX_HALFEDGES must be an integer >= 0, got {setting!r}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["contract", "{triangle}", "--edge", "0", "--phi", "[\u0662,3,4,5,0,1]"], "--phi"),
+    (["contract", "{triangle}", "--edge", "\u0660"], "--edge"),
+    (["theta", "{triangle}", "--arrangements", "1", "--seed", "\u0661_0"], "--seed"),
+], ids=["phi", "edge", "seed"])
+def test_integer_arguments_take_ascii_digits_only(triangle_file, capsys, argv, option):
+    # int() reads each of these; the graph grammar accepts only ASCII digits.
+    assert cli_main([arg.format(triangle=triangle_file) for arg in argv]) == 1
+    assert f"usage error: argument {option}" in capsys.readouterr().err
+
+
 def test_internal_errors_are_not_user_errors(loop_file, monkeypatch):
     def broken(*args, **kwargs):
         raise IndexError("internal bug")

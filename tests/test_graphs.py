@@ -17,7 +17,7 @@ from orientkit.graphs import (
     OddHalfEdgeCountError,
     OverlapError,
 )
-from orientkit.limits import SizeLimitExceeded
+from orientkit.limits import CapSettingError, SizeLimitExceeded
 
 from conftest import complete_graph, flower, graph_from_vertex_pairs, relabel
 
@@ -374,7 +374,14 @@ class TestCanonicalForm:
         big = flower(8)  # 16 half-edges, over the default cap of 14
         with pytest.raises(SizeLimitExceeded):
             gr.canonical_form(big)
-        assert gr.canonical_form(big, max_half_edges=16)
+        assert gr.canonical_graph(big, max_half_edges=16).half_edge_count == 16
+
+    @pytest.mark.parametrize("setting", ["\u0661\u0664", "1_4", " 14"])
+    def test_cap_setting_takes_ascii_digits_only(self, monkeypatch, setting):
+        # int() reads all three as 14; the graph grammar accepts none of them.
+        monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", setting)
+        with pytest.raises(CapSettingError, match="must be an integer >= 0"):
+            gr.canonical_form(flower(1))
 
     def test_env_override(self, monkeypatch):
         big = flower(8)

@@ -11,6 +11,7 @@ from orientkit.automorphisms import as_automorphism, enumerate_automorphisms, in
 from orientkit.cli import cli_main
 from orientkit.graphs import merge_classes, validate
 from orientkit.orientation import (
+    SingularBasisError,
     ThetaHom,
     Verdict,
     cycle_basis,
@@ -230,6 +231,12 @@ class TestDetSign:
             assert det_sign(m) == expected
             assert det_bruteforce(m) == expected
 
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            det_sign([[0.5]])
+        with pytest.raises(TypeError):
+            det_sign([[1, 0], [0, Fraction(1, 2)]])
+
     def test_against_bruteforce_random(self):
         rng = random.Random(1707)
         for _ in range(200):
@@ -260,6 +267,19 @@ class TestThetaK:
                 reference = theta_k(g, a)
                 for _ in range(20):
                     assert theta_k(g, a, arrows=random_arrows(g, rng)) == reference
+
+
+@pytest.mark.parametrize("basis, message", [
+    (((1,), (0,), (0,)), "image cycle falls outside the cycle space"),
+    (((0,), (0,), (0,)), "cycle basis lost column rank"),
+])
+def test_broken_cycle_basis_is_an_internal_error(triangle, monkeypatch, basis, message):
+    rotation = as_automorphism(triangle, (2, 3, 4, 5, 0, 1))
+    monkeypatch.setattr(orientkit.orientation, "cycle_basis", lambda *args: basis)
+    with pytest.raises(SingularBasisError, match=message):
+        induced_cycle_matrix(triangle, default_arrows(triangle), rotation)
+    with pytest.raises(SingularBasisError, match=message):
+        theta_k(triangle, rotation)
 
 
 def test_theta_parity_examples(triangle):

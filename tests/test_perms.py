@@ -100,3 +100,17 @@ def test_format_parse_roundtrip():
         perms.parse_perm("2,0,1")
     with pytest.raises(ValueError):
         perms.parse_perm("[0,0]")
+    assert perms.parse_perm("[ 2, 0 ,1 ]") == p
+
+
+@pytest.mark.parametrize("text", ["[\u0662,0,1]", "[1,0_0]", "[2,+0,1]", "[2,,1]"])
+def test_parse_perm_takes_ascii_digits_only(text):
+    # int() reads the first three entry by entry; the graph grammar does not.
+    with pytest.raises(ValueError):
+        perms.parse_perm(text)
+
+
+def test_check_perm_rejects_non_integers():
+    with pytest.raises(TypeError):
+        perms.check_perm([0.0, 1.0])
+    assert perms.check_perm([1, 0]) == (1, 0)
