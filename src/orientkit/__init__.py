@@ -24,9 +24,7 @@ from .families import (
     Family,
     FamilyInstance,
     FamilyParams,
-    build_family_I,
-    build_family_II,
-    build_family_III,
+    build_family,
     eq1_check,
     family_instances,
     proof_case_values,

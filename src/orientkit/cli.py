@@ -16,7 +16,7 @@ from .automorphisms import as_automorphism, enumerate_automorphisms, induced_act
 from .corpus import CorpusSpec, ReportWriteError, render_report, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
 from .graphs import Graph, GraphError, format_graph, orbit_contraction, parse_graph
-from .limits import CapSettingError, SizeLimitExceeded, parse_int
+from .limits import MAX_DIGITS, CapSettingError, SizeLimitExceeded, parse_int
 from .orientation import (
     ThetaHom,
     or_orbits_bruteforce,
@@ -38,10 +38,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """argparse type for a count: an integer >= 0, in ASCII digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+    """argparse type for a count: an integer >= 0, read by ``limits.parse_int``."""
+    try:
+        value = parse_int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0 of at most {MAX_DIGITS} ASCII digits, got {text!r}")
+    return value
 
 
 def _read_graphs(path: str) -> list[Graph]:

@@ -1,19 +1,20 @@
-"""Constructors for the classified edge-transitive pairs (graph, psi).
+"""The classified edge-transitive pairs (graph, psi), built by ``build_family``.
 
 Each family builds a graph on 2**n edges together with a distinguished
 automorphism psi whose cyclic group permutes the edges in a single cycle.
 Parameters: n fixes the edge count, c the 2**c-fold vertex symmetry, m a
-sub-period of the vertex pattern (families II and III only, c + m <= n).
+sub-period of the vertex pattern. They must satisfy c >= 0, m >= 0 and
+c + m <= n, and family I takes m = 0.
 
-Normalized integer encodings replace double indexing: family I lives on
-ids t in Z_{2^(n+1)} with psi(t) = t + 1; families II and III use two rails
-a_t = t and b_t = 2**n + t joined by the edges {a_t, b_t}, with psi
-shifting both rails by one.
+Normalized integer encodings replace double indexing: every family uses two
+rails a_t = t and b_t = 2**n + t joined by the edges {a_t, b_t}. In family I
+psi(t) = t + 1 on all of Z_{2^(n+1)}, so it carries the a-rail into the
+b-rail; in families II and III psi shifts each rail by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import prod
 
@@ -28,7 +29,6 @@ from .orientation import (
     theta_k,
     theta_s,
 )
-from .perms import Perm
 
 
 class Family(str, Enum):
@@ -67,82 +67,50 @@ class ProofCaseValues:
     sigma_ratio: int
 
 
-def _check_range(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-def build_family_I(n: int, c: int) -> FamilyInstance:
-    """All-loop family: 2**n loops spread over 2**c vertices, psi a single
-    cycle on all 2**(n+1) half-edges."""
-    _check_range("n", n)
-    _check_range("c", c)
-    if c > n:
-        raise ValueError(f"family I needs c <= n, got c={c}, n={n}")
-    size = 2 ** (n + 1)
-    half = 2**n
-    edges = [(t, t + half) for t in range(half)]
-    vertices = [[t for t in range(size) if t % 2**c == j] for j in range(2**c)]
-    g = validate(size, edges, vertices)
-    psi = tuple((t + 1) % size for t in range(size))
-    return FamilyInstance(g, as_automorphism(g, psi), FamilyParams(Family.I, n, c))
-
-
-def _two_rail(n: int) -> tuple[int, list[tuple[int, int]], Perm]:
-    half = 2**n
-    edges = [(t, half + t) for t in range(half)]
-    psi = tuple((t + 1) % half for t in range(half)) + tuple(
-        half + (t + 1) % half for t in range(half)
-    )
-    return half, edges, psi
-
-
-def build_family_II(n: int, c: int, m: int) -> FamilyInstance:
-    """Loop-free family with two vertex orbit classes of different periods:
-    a-rail vertices repeat mod 2**c, b-rail vertices mod 2**(c+m)."""
-    _check_range("n", n)
-    _check_range("c", c)
-    _check_range("m", m)
-    if c + m > n:
-        raise ValueError(f"family II needs c + m <= n, got c={c}, m={m}, n={n}")
-    half, edges, psi = _two_rail(n)
-    vertices = [[t for t in range(half) if t % 2**c == j] for j in range(2**c)]
-    vertices += [
-        [half + t for t in range(half) if t % 2 ** (c + m) == r] for r in range(2 ** (c + m))
-    ]
-    g = validate(2 * half, edges, vertices)
-    return FamilyInstance(g, as_automorphism(g, psi), FamilyParams(Family.II, n, c, m))
-
-
-def build_family_III(n: int, c: int, m: int) -> FamilyInstance:
-    """Single vertex orbit joining the two rails with an offset of 2**c:
-    all loops when m = 0, circulant-like cycles when m > 0."""
-    _check_range("n", n)
-    _check_range("c", c)
-    _check_range("m", m)
-    if c + m > n:
-        raise ValueError(f"family III needs c + m <= n, got c={c}, m={m}, n={n}")
-    half, edges, psi = _two_rail(n)
-    period = 2 ** (c + m)
-    vertices = [
-        [t for t in range(half) if t % period == r]
-        + [half + t for t in range(half) if t % period == (r - 2**c) % period]
-        for r in range(period)
-    ]
-    g = validate(2 * half, edges, vertices)
-    return FamilyInstance(g, as_automorphism(g, psi), FamilyParams(Family.III, n, c, m))
-
-
 def build_family(params: FamilyParams) -> FamilyInstance:
-    if params.family is Family.I:
-        return build_family_I(params.n, params.c)
-    if params.family is Family.II:
-        return build_family_II(params.n, params.c, params.m)
-    return build_family_III(params.n, params.c, params.m)
+    """Build the instance of ``params``, with its family read through ``Family``.
+
+    Every family has the edges {t, 2**n + t}; only psi and the vertex of
+    each half-edge depend on the family:
+
+    - I: 2**n loops spread over 2**c vertices, psi a single cycle on all
+      2**(n+1) half-edges;
+    - II: loop-free, a-rail vertices repeating mod 2**c and b-rail vertices
+      mod 2**(c+m);
+    - III: one vertex orbit joining the rails with an offset of 2**c, all
+      loops when m = 0 and circulant-like cycles when m > 0.
+
+    Raises ``ValueError`` for an unknown family or parameters outside the
+    rules of the module docstring.
+    """
+    family = Family(params.family)
+    n, c, m = params.n, params.c, params.m
+    if min(c, m) < 0 or c + m > n or (family is Family.I and m):
+        rule = "0 <= c <= n and m = 0" if family is Family.I else "c, m >= 0 and c + m <= n"
+        raise ValueError(f"family {family.value} needs {rule}, got n={n}, c={c}, m={m}")
+    half = 2**n
+    size = 2 * half
+    period = 2 ** (c + m)
+    if family is Family.I:
+        psi = tuple((h + 1) % size for h in range(size))
+        labels = [h % 2**c for h in range(size)]
+    else:
+        psi = tuple(h - h % half + (h + 1) % half for h in range(size))
+        # period divides 2**n, so b_t = 2**n + t has the residue of t.
+        if family is Family.II:
+            labels = [h % 2**c if h < half else 2**c + h % period for h in range(size)]
+        else:
+            labels = [(h if h < half else h + 2**c) % period for h in range(size)]
+    vertices: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for h, label in enumerate(labels):
+        vertices[label].append(h)
+    g = validate(size, [(t, half + t) for t in range(half)], vertices)
+    return FamilyInstance(g, as_automorphism(g, psi), replace(params, family=family))
 
 
-def family_instances(max_n: int, families: tuple[Family, ...] = tuple(Family)):
+def family_instances(max_n: int, families: tuple[Family | str, ...] = tuple(Family)):
     """All legal instances with n <= max_n, in deterministic order."""
+    families = tuple(map(Family, families))
     for n in range(max_n + 1):
         for family in families:
             for c in range(n + 1):
@@ -201,7 +169,7 @@ def proof_case_values(n: int) -> ProofCaseValues:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    inst = build_family_III(n, 0, 0)
+    inst = build_family(FamilyParams(Family.III, n))
     g = inst.graph
     arrows = default_arrows(g)  # tails are the a-rail ids by construction
     acts = induced_actions(g, inst.psi)

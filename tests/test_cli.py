@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -140,6 +141,12 @@ def test_families_output(capsys):
     assert "contraction identity" in out
 
 
+def test_families_output_is_pinned(capsys):
+    assert cli_main(["families", "--max-n", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+    assert digest == "d54acaa328c34f9da192045c6b47bd27cf72d803ed0c1d88327d7a97ad36c70e"
+
+
 def test_verify_clean_corpus(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert cli_main(["verify", "--max-edges", "2", "--out", str(out_path)]) == 0
@@ -170,6 +177,19 @@ def test_verify_no_loops_flag(capsys):
 def test_verify_negative_max_edges_exits_1(capsys):
     assert cli_main(["verify", "--max-edges", "-1"]) == 1
     assert "usage error: argument --max-edges: expected an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", [19, 5000])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-edges"],
+    ["families", "--max-n"],
+    ["theta", "{loop}", "--arrangements"],
+], ids=["max-edges", "max-n", "arrangements"])
+def test_counts_take_at_most_18_digits(loop_file, capsys, argv, digits):
+    # Past 4300 digits int() itself refuses the text; the scanner's rule stops at 18.
+    assert cli_main([arg.format(loop=loop_file) for arg in argv] + ["9" * digits]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: argument {argv[-1]}: expected an integer >= 0" in err
 
 
 def test_non_ascii_graph_file_exits_1(tmp_path, capsys):

@@ -4,9 +4,9 @@ from orientkit import perms
 from orientkit.automorphisms import Automorphism, as_automorphism, induced_actions
 from orientkit.families import (
     Family,
-    build_family_I,
-    build_family_II,
-    build_family_III,
+    FamilyInstance,
+    FamilyParams,
+    build_family,
     eq1_check,
     family_instances,
     proof_case_values,
@@ -18,19 +18,19 @@ from orientkit.orientation import theta_k, theta_s
 
 class TestFamilyI:
     def test_smallest_is_the_loop(self, loop):
-        inst = build_family_I(0, 0)
+        inst = build_family(FamilyParams(Family.I, 0, 0))
         assert inst.graph == loop
         assert inst.psi.perm == (1, 0)
 
     def test_one_vertex_two_loops(self):
-        inst = build_family_I(1, 0)
+        inst = build_family(FamilyParams(Family.I, 1, 0))
         assert len(inst.graph.vertices) == 1
         assert len(inst.graph.edges) == 2
         assert all(inst.graph.is_loop(e) for e in range(2))
         assert perms.cycle_lengths(inst.psi.perm) == [4]
 
     def test_two_vertices_two_loops_each(self):
-        inst = build_family_I(2, 1)
+        inst = build_family(FamilyParams(Family.I, 2, 1))
         assert len(inst.graph.vertices) == 2
         assert all(inst.graph.is_loop(e) for e in range(4))
         assert all(inst.graph.loop_count(v) == 2 for v in range(2))
@@ -38,30 +38,32 @@ class TestFamilyI:
     def test_half_edge_transitive(self):
         for n in range(4):
             for c in range(n + 1):
-                inst = build_family_I(n, c)
+                inst = build_family(FamilyParams(Family.I, n, c))
                 assert perms.cycle_lengths(inst.psi.perm) == [inst.graph.half_edge_count]
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
-            build_family_I(1, 2)
+            build_family(FamilyParams(Family.I, 1, 2))
         with pytest.raises(ValueError):
-            build_family_I(-1, 0)
+            build_family(FamilyParams(Family.I, -1, 0))
+        with pytest.raises(ValueError):
+            build_family(FamilyParams(Family.I, 2, 0, 1))
 
 
 class TestFamilyII:
     def test_smallest_is_the_double_edge(self, double_edge):
-        inst = build_family_II(1, 0, 0)
+        inst = build_family(FamilyParams(Family.II, 1, 0, 0))
         assert is_isomorphic(inst.graph, double_edge)
         assert induced_actions(inst.graph, inst.psi).edge_perm == (1, 0)
 
     def test_path_shape(self):
-        inst = build_family_II(1, 0, 1)
+        inst = build_family(FamilyParams(Family.II, 1, 0, 1))
         sizes = sorted(len(b) for b in inst.graph.vertices)
         assert sizes == [1, 1, 2]
         assert inst.graph.first_betti() == 0
 
     def test_mixed_parameters(self):
-        inst = build_family_II(2, 1, 1)
+        inst = build_family(FamilyParams(Family.II, 2, 1, 1))
         assert len(inst.graph.edges) == 4
         sizes = sorted(len(b) for b in inst.graph.vertices)
         assert sizes == [1, 1, 1, 1, 2, 2]
@@ -71,17 +73,17 @@ class TestFamilyII:
         for n in range(4):
             for c in range(n + 1):
                 for m in range(n - c + 1):
-                    inst = build_family_II(n, c, m)
+                    inst = build_family(FamilyParams(Family.II, n, c, m))
                     assert not any(inst.graph.is_loop(e) for e in range(2**n))
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
-            build_family_II(1, 1, 1)
+            build_family(FamilyParams(Family.II, 1, 1, 1))
 
 
 class TestFamilyIII:
     def test_two_loops_one_vertex(self):
-        inst = build_family_III(1, 0, 0)
+        inst = build_family(FamilyParams(Family.III, 1, 0, 0))
         assert len(inst.graph.vertices) == 1
         assert all(inst.graph.is_loop(e) for e in range(2))
         # contrast with family I at the same size: psi splits into two 2-cycles
@@ -90,7 +92,7 @@ class TestFamilyIII:
         assert perms.power(edge_perm, 2) == perms.identity(2)
 
     def test_four_cycle(self):
-        inst = build_family_III(2, 0, 2)
+        inst = build_family(FamilyParams(Family.III, 2, 0, 2))
         g = inst.graph
         assert len(g.vertices) == 4
         assert len(g.edges) == 4
@@ -99,7 +101,7 @@ class TestFamilyIII:
         assert perms.cycle_lengths(induced_actions(g, inst.psi).vertex_perm) == [4]
 
     def test_one_loop_per_vertex(self):
-        inst = build_family_III(1, 1, 0)
+        inst = build_family(FamilyParams(Family.III, 1, 1, 0))
         assert len(inst.graph.vertices) == 2
         assert all(inst.graph.loop_count(v) == 1 for v in range(2))
 
@@ -107,15 +109,32 @@ class TestFamilyIII:
         for n in range(1, 4):
             for c in range(n + 1):
                 for m in range(n - c + 1):
-                    inst = build_family_III(n, c, m)
+                    inst = build_family(FamilyParams(Family.III, n, c, m))
                     has_loops = any(inst.graph.is_loop(e) for e in range(2**n))
                     assert has_loops == (m == 0)
 
     def test_two_half_edge_orbit_classes_when_loopy(self):
         for n in range(1, 4):
             for c in range(n + 1):
-                inst = build_family_III(n, c, 0)
+                inst = build_family(FamilyParams(Family.III, n, c, 0))
                 assert len(perms.cycles(inst.psi.perm)) == 2
+
+
+def test_unknown_family_is_rejected():
+    with pytest.raises(ValueError):
+        build_family(FamilyParams("IV", 1))
+
+
+def test_family_value_builds_its_member():
+    inst = build_family(FamilyParams("II", 1, 0, 0))
+    assert inst == build_family(FamilyParams(Family.II, 1, 0, 0))
+    assert inst.params.family is Family.II
+
+
+def test_family_instances_read_values_as_members():
+    by_value = list(family_instances(2, ("I",)))
+    assert by_value == list(family_instances(2, (Family.I,)))
+    assert all(inst.params.family is Family.I for inst in by_value)
 
 
 def test_verify_family_passes_exhaustively():
@@ -124,8 +143,6 @@ def test_verify_family_passes_exhaustively():
 
 
 def test_verify_family_catches_non_transitive(triangle):
-    from orientkit.families import FamilyInstance, FamilyParams
-
     bogus = FamilyInstance(
         triangle,
         Automorphism(triangle, perms.identity(6)),
@@ -137,7 +154,7 @@ def test_verify_family_catches_non_transitive(triangle):
 
 class TestEq1:
     def test_two_loop_instance(self):
-        inst = build_family_III(1, 0, 0)
+        inst = build_family(FamilyParams(Family.III, 1, 0, 0))
         result = eq1_check(inst.graph, inst.psi, 0)
         assert result.equal
         assert (result.lhs, result.rhs) == (1, 1)
@@ -178,8 +195,8 @@ class TestProofCaseValues:
     def test_theta_contrast_between_families(self):
         # Same underlying graph, different psi: the single 4-cycle of family I
         # evaluates to -1, the split shift of family III to +1.
-        one = build_family_I(1, 0)
-        three = build_family_III(1, 0, 0)
+        one = build_family(FamilyParams(Family.I, 1, 0))
+        three = build_family(FamilyParams(Family.III, 1, 0, 0))
         assert one.graph == three.graph
         assert theta_k(one.graph, one.psi) == theta_s(one.graph, one.psi) == -1
         assert theta_k(three.graph, three.psi) == theta_s(three.graph, three.psi) == 1
