@@ -130,6 +130,9 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
             used[x] = False
 
     extend(0)
+    # extend reaches itself through its closure; dropping the name breaks
+    # that cycle, so the search state is freed now, not at a full collection.
+    del extend
     # The search order follows the edges, not the ids, so the image lists
     # arrive unsorted; callers and witnesses rely on lexicographic order.
     found.sort()
@@ -142,3 +145,30 @@ def induced_actions(g: Graph, a: Automorphism) -> InducedActions:
         edge_perm=induced_edge_perm(g, a.perm),
         vertex_perm=induced_vertex_perm(g, a.perm),
     )
+
+
+def strong_generators(auts: list[Automorphism]) -> list[Automorphism]:
+    """Coset representatives of the stabilizer chain with base 0, 1, 2, ...
+
+    ``auts`` is a whole group in lexicographic order of the image lists,
+    as ``enumerate_automorphisms`` returns it. For each pair (h, x) that
+    occurs as (first moved half-edge, its image), the first element with
+    that pair is kept; the identity moves nothing and is not kept.
+
+    Let G_h be the elements that fix 0..h-1. An element outside G_h first
+    moves some j < h, and to a point above j, since 0..j-1 are already
+    images; so it sorts after every element of G_h, and G_h is a prefix
+    of ``auts`` with the identity first. The kept elements with first
+    moved point h map h onto every point of its G_h-orbit other than h
+    itself, one element per coset of G_{h+1} in G_h; with the identity
+    for the coset G_{h+1}, they form a transversal. Every element of the
+    group is a product of one transversal element per level (Seress,
+    *Permutation Group Algorithms*, ch. 4), so the kept elements
+    generate the group.
+    """
+    firsts: dict[tuple[int, int], Automorphism] = {}
+    for a in auts:
+        h = next((i for i, x in enumerate(a.perm) if x != i), None)
+        if h is not None:
+            firsts.setdefault((h, a.perm[h]), a)
+    return list(firsts.values())

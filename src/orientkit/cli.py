@@ -16,7 +16,7 @@ from .automorphisms import as_automorphism, enumerate_automorphisms, induced_act
 from .corpus import CorpusSpec, ReportWriteError, render_report, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
 from .graphs import Graph, GraphError, format_graph, orbit_contraction, parse_graph
-from .limits import MAX_DIGITS, CapSettingError, SizeLimitExceeded, parse_int
+from .limits import MAX_DIGITS, CapSettingError, SizeLimitExceeded, excerpt, parse_int
 from .orientation import (
     ThetaHom,
     or_orbits_bruteforce,
@@ -45,8 +45,19 @@ def _count(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0 of at most {MAX_DIGITS} ASCII digits, got {text!r}")
+            f"expected an integer >= 0 of at most {MAX_DIGITS} ASCII digits, got {excerpt(text)}")
     return value
+
+
+def _reading(parse):
+    """argparse type reporting ``parse``'s own message, whose echo of the
+    argument is cut short, instead of argparse's echo of all of it."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return read
 
 
 def _read_graphs(path: str) -> list[Graph]:
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--arrangements", type=_count, default=0,
                    help="also recheck theta_s under N random arrow arrangements")
-    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--seed", type=_reading(parse_int), default=0)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("orient", help="orientability verdict")
@@ -231,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="contract an edge or a whole orbit")
     p.add_argument("file")
-    p.add_argument("--edge", type=parse_int, required=True)
-    p.add_argument("--phi", type=perms.parse_perm,
+    p.add_argument("--edge", type=_reading(parse_int), required=True)
+    p.add_argument("--phi", type=_reading(perms.parse_perm),
                    help="automorphism image list, e.g. [1,0]; contracts the orbit")
     p.set_defaults(func=_cmd_contract)
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .automorphisms import Automorphism, enumerate_automorphisms
+from .automorphisms import Automorphism, enumerate_automorphisms, strong_generators
 from .graphs import Graph, canonical_graph, format_graph
 from .limits import check_half_edges
 from .orientation import glues_signs, theta_k, theta_s
@@ -138,28 +138,36 @@ def sweep_theorem(
     theta_k_fn: ThetaFn = theta_k,
     theta_s_fn: ThetaFn = theta_s,
 ) -> SweepReport:
-    """Evaluate both homomorphisms on every automorphism of every corpus
-    graph and record agreement plus orientability verdicts.
+    """Decide, for every corpus graph, whether theta_k and theta_s agree on
+    Aut(g) and whether each is orientable, and record every automorphism
+    on which they disagree.
 
-    The theta implementations are injectable so tests can confirm the sweep
-    detects a doctored sign convention.
+    With this module's ``theta_k`` and ``theta_s`` a graph is decided on
+    generators. Both are homomorphisms Aut(g) -> {+1, -1}, so they agree
+    on the group iff they agree on the strong generators of
+    ``strong_generators``. A graph is non-orientable under a theta iff
+    some automorphism that fixes every vertex has theta -1; those form
+    the kernel of the vertex action, a group, so the question is decided
+    on the kernel's strong generators. Nothing here assumes that the two
+    thetas agree, and the Euler-characteristic identity, which would make
+    them agree by construction, is not used.
+
+    A graph whose generators disagree falls back to the literal sweep,
+    which evaluates both thetas on every automorphism, so its violations
+    are listed in full. Injected thetas always take the literal sweep:
+    they need not be homomorphisms (tests doctor a sign convention and
+    confirm that the sweep detects it).
     """
+    on_generators = theta_k_fn is theta_k and theta_s_fn is theta_s
     rows = []
-    violations = []
+    violations: list[Violation] = []
     for g in enumerate_graphs(spec):
         canon = format_graph(g)
         auts = enumerate_automorphisms(g, spec.max_half_edges)
-        orientable_k = True
-        orientable_s = True
-        agree = True
-        for a in auts:
-            tk = theta_k_fn(g, a)
-            ts = theta_s_fn(g, a)
-            if tk != ts:
-                agree = False
-                violations.append(Violation(canon, a.perm, tk, ts))
-            orientable_k = orientable_k and not glues_signs(g, a, tk)
-            orientable_s = orientable_s and not glues_signs(g, a, ts)
+        verdicts = _decide_on_generators(g, auts) if on_generators else None
+        if verdicts is None:
+            verdicts = _decide_literally(g, auts, canon, theta_k_fn, theta_s_fn, violations)
+        orientable_k, orientable_s, agree = verdicts
         rows.append(
             SweepRow(
                 canon=canon,
@@ -173,6 +181,52 @@ def sweep_theorem(
             )
         )
     return SweepReport(spec, tuple(rows), tuple(violations))
+
+
+def _decide_on_generators(g: Graph, auts: list[Automorphism]) -> tuple[bool, bool, bool] | None:
+    """(orientable_k, orientable_s, True) from strong generators, or None
+    if theta_k and theta_s disagree on one of them."""
+    values: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def thetas(a: Automorphism) -> tuple[int, int]:
+        if a.perm not in values:
+            values[a.perm] = (theta_k(g, a), theta_s(g, a))
+        return values[a.perm]
+
+    if any(tk != ts for tk, ts in map(thetas, strong_generators(auts))):
+        return None
+    vertex_of = g.vertex_of
+    kernel = [a for a in auts if all(vertex_of[x] == vertex_of[h] for h, x in enumerate(a.perm))]
+    kernel_values = [thetas(a) for a in strong_generators(kernel)]
+    return (
+        all(tk == 1 for tk, _ in kernel_values),
+        all(ts == 1 for _, ts in kernel_values),
+        True,
+    )
+
+
+def _decide_literally(
+    g: Graph,
+    auts: list[Automorphism],
+    canon: str,
+    theta_k_fn: ThetaFn,
+    theta_s_fn: ThetaFn,
+    violations: list[Violation],
+) -> tuple[bool, bool, bool]:
+    """(orientable_k, orientable_s, agree) from both thetas on every
+    automorphism; appends each disagreement to ``violations``."""
+    orientable_k = True
+    orientable_s = True
+    agree = True
+    for a in auts:
+        tk = theta_k_fn(g, a)
+        ts = theta_s_fn(g, a)
+        if tk != ts:
+            agree = False
+            violations.append(Violation(canon, a.perm, tk, ts))
+        orientable_k = orientable_k and not glues_signs(g, a, tk)
+        orientable_s = orientable_s and not glues_signs(g, a, ts)
+    return orientable_k, orientable_s, agree
 
 
 def report_to_dict(report: SweepReport) -> dict:

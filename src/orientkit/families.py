@@ -14,7 +14,8 @@ b-rail; in families II and III psi shifts each rail by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
@@ -80,11 +81,16 @@ def build_family(params: FamilyParams) -> FamilyInstance:
     - III: one vertex orbit joining the rails with an offset of 2**c, all
       loops when m = 0 and circulant-like cycles when m > 0.
 
-    Raises ``ValueError`` for an unknown family or parameters outside the
-    rules of the module docstring.
+    Raises ``ValueError`` for an unknown family, for n, c or m that is
+    not an integer (a bool included) and for parameters outside the rules
+    of the module docstring.
     """
     family = Family(params.family)
-    n, c, m = params.n, params.c, params.m
+    try:
+        n, c, m = (_integer(x) for x in (params.n, params.c, params.m))
+    except TypeError:
+        raise ValueError(f"family parameters must be integers, got n={params.n!r}, "
+                         f"c={params.c!r}, m={params.m!r}") from None
     if min(c, m) < 0 or c + m > n or (family is Family.I and m):
         rule = "0 <= c <= n and m = 0" if family is Family.I else "c, m >= 0 and c + m <= n"
         raise ValueError(f"family {family.value} needs {rule}, got n={n}, c={c}, m={m}")
@@ -105,7 +111,13 @@ def build_family(params: FamilyParams) -> FamilyInstance:
     for h, label in enumerate(labels):
         vertices[label].append(h)
     g = validate(size, [(t, half + t) for t in range(half)], vertices)
-    return FamilyInstance(g, as_automorphism(g, psi), replace(params, family=family))
+    return FamilyInstance(g, as_automorphism(g, psi), FamilyParams(family, n, c, m))
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a family parameter")
+    return operator.index(value)
 
 
 def family_instances(max_n: int, families: tuple[Family | str, ...] = tuple(Family)):

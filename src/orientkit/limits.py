@@ -12,6 +12,8 @@ ENV_VAR = "ORIENTKIT_MAX_HALFEDGES"
 # no graph needs longer integers, and int() never meets Python's digit limit.
 MAX_DIGITS = 18
 _INTEGER = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
+# Error messages echo at most this many characters of a rejected argument.
+MAX_ECHO = 40
 
 
 class SizeLimitExceeded(RuntimeError):
@@ -22,10 +24,18 @@ class CapSettingError(ValueError):
     """The environment variable that sets the cap does not hold an integer >= 0."""
 
 
+def excerpt(text: str) -> str:
+    """repr of text for an error message, cut to MAX_ECHO characters with the full length."""
+    if len(text) <= MAX_ECHO:
+        return repr(text)
+    return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
+
+
 def parse_int(text: str) -> int:
     """Read text by the graph scanner's rule: an optional "-", then 1 to MAX_DIGITS ASCII digits."""
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"expected an integer of at most {MAX_DIGITS} ASCII digits, got {text!r}")
+        raise ValueError(
+            f"expected an integer of at most {MAX_DIGITS} ASCII digits, got {excerpt(text)}")
     return int(text)
 
 

@@ -11,7 +11,7 @@ import operator
 from math import lcm
 from typing import Iterable
 
-from .limits import parse_int
+from .limits import excerpt, parse_int
 
 Perm = tuple[int, ...]
 
@@ -28,7 +28,7 @@ def is_perm(images: Iterable[int]) -> bool:
 def check_perm(images: Iterable[int]) -> Perm:
     p = tuple(map(operator.index, images))
     if not is_perm(p):
-        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {list(p)}")
+        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {excerpt(format_perm(p))}")
     return p
 
 
@@ -109,7 +109,7 @@ def format_perm(p: Perm) -> str:
 def parse_perm(text: str) -> Perm:
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"expected a bracketed image list, got {text!r}")
+        raise ValueError(f"expected a bracketed image list, got {excerpt(text)}")
     body = s[1:-1].strip()
     if not body:
         return ()

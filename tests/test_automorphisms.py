@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -9,8 +10,16 @@ from orientkit.automorphisms import (
     enumerate_automorphisms,
     induced_actions,
     is_automorphism,
+    strong_generators,
 )
-from orientkit.graphs import NotAnAutomorphism, orbit_contraction, parse_graph, preserves_partitions
+from orientkit.corpus import CorpusSpec, enumerate_graphs
+from orientkit.graphs import (
+    NotAnAutomorphism,
+    orbit_contraction,
+    parse_graph,
+    preserves_partitions,
+    validate,
+)
 from orientkit.limits import SizeLimitExceeded
 
 from conftest import complete_graph, flower, relabel
@@ -179,7 +188,64 @@ def test_flower_group_order():
 
 
 def test_empty_graph_group():
-    from orientkit.graphs import validate
-
     auts = enumerate_automorphisms(validate(0, [], []))
     assert [a.perm for a in auts] == [()]
+
+
+def test_search_leaves_no_reference_cycle(triangle):
+    # A cycle would keep the search state alive until a full collection.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_automorphisms(triangle)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def first_moved(p):
+    return next(i for i, x in enumerate(p) if x != i)
+
+
+def test_strong_generators_examples(loop, triangle):
+    assert strong_generators(enumerate_automorphisms(validate(0, [], []))) == []
+    assert [a.perm for a in strong_generators(enumerate_automorphisms(loop))] == [(1, 0)]
+    # The triangle's group acts regularly on its six half-edges: the
+    # stabilizer of 0 is trivial, so every element but the identity is kept.
+    auts = enumerate_automorphisms(triangle)
+    assert strong_generators(auts) == auts[1:]
+    # Two loops: 0 goes anywhere, and the stabilizer of 0 and 1 swaps 2, 3.
+    # Generators come in list order, so the swap (0, 1, 3, 2) is first.
+    auts = enumerate_automorphisms(flower(2))
+    gens = strong_generators(auts)
+    assert [(first_moved(a.perm), a.perm[first_moved(a.perm)]) for a in gens] == [
+        (2, 3), (0, 1), (0, 2), (0, 3)
+    ]
+    for a in gens:
+        h = first_moved(a.perm)
+        assert a == next(b for b in auts if b.perm[:h] == a.perm[:h] and b.perm[h] == a.perm[h])
+
+
+def closure(identity, gens):
+    """Oracle: every product of generators, by breadth-first search."""
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = {perms.compose(p, s) for p in frontier for s in gens} - group
+        group |= fresh
+        frontier = list(fresh)
+    return group
+
+
+@pytest.mark.parametrize("allow_loops", [True, False])
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_strong_generators_generate_the_group(allow_loops, connected_only):
+    for g in enumerate_graphs(CorpusSpec(5, allow_loops, connected_only)):
+        auts = enumerate_automorphisms(g)
+        gens = strong_generators(auts)
+        assert {a.perm for a in gens} <= {a.perm for a in auts}
+        assert closure(perms.identity(g.half_edge_count), [a.perm for a in gens]) == {
+            a.perm for a in auts
+        }

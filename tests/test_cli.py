@@ -192,6 +192,24 @@ def test_counts_take_at_most_18_digits(loop_file, capsys, argv, digits):
     assert f"usage error: argument {argv[-1]}: expected an integer >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-edges", "{big}"],
+    ["theta", "{triangle}", "--seed", "{big}"],
+    ["contract", "{triangle}", "--edge", "{big}"],
+    ["contract", "{triangle}", "--edge", "0", "--phi", "[{big}]"],
+    ["contract", "{triangle}", "--edge", "0", "--phi", "x{big}"],
+    ["contract", "{triangle}", "--edge", "0", "--phi", "[{zeros}]"],
+], ids=["max-edges", "seed", "edge", "phi-entry", "phi-unbracketed", "phi-not-a-perm"])
+def test_usage_errors_cut_the_rejected_argument_short(triangle_file, capsys, argv):
+    big = "9" * 5000
+    argv = [arg.format(big=big, zeros=",".join("0" * 2500), triangle=triangle_file)
+            for arg in argv]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument ")
+    assert len(err) < 200 and err.endswith("characters)\n")
+
+
 def test_non_ascii_graph_file_exits_1(tmp_path, capsys):
     path = tmp_path / "latin1.graph"
     path.write_bytes(b"halfedges=2; edges=(0 1); vertices={0 1}\xff\n")

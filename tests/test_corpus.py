@@ -4,8 +4,13 @@ from math import prod
 
 import pytest
 
-from orientkit import perms
-from orientkit.automorphisms import induced_actions
+from orientkit import corpus, perms
+from orientkit.automorphisms import (
+    Automorphism,
+    enumerate_automorphisms,
+    induced_actions,
+    strong_generators,
+)
 from orientkit.corpus import (
     CorpusSpec,
     ReportWriteError,
@@ -23,6 +28,8 @@ from orientkit.orientation import (
     epsilon_map,
     or_orbits_bruteforce,
     orientability,
+    theta_k,
+    theta_s,
 )
 
 from test_graphs import iso_exists_bruteforce
@@ -201,6 +208,63 @@ def test_report_bytes_are_pinned():
     assert hashlib.sha256(rendered).hexdigest() == (
         "45771d543bb90c73f5141e5afff427214b4084095ad6c3919fcb506728f328bc"
     )
+
+
+def test_report_bytes_are_pinned_at_six_edges():
+    # The digest `orientkit verify --max-edges 6` has always printed.
+    rendered = render_report(sweep_theorem(CorpusSpec(6)), "json")
+    assert hashlib.sha256(rendered).hexdigest() == (
+        "d5bdec9d424609d4a21a1034d879693407bf3c53df8899ce05f259f1e9eca465"
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(4, connected_only=False),
+    CorpusSpec(4, allow_loops=False, connected_only=False),
+], ids=["loops", "no-loops"])
+def test_thetas_are_homomorphisms_on_generators(spec):
+    # The premise of deciding the sweep on generators: theta(a o s) =
+    # theta(a) theta(s) for every automorphism a and strong generator s.
+    # Disconnected graphs are included, where the two thetas disagree.
+    for g in enumerate_graphs(spec):
+        auts = enumerate_automorphisms(g)
+        for theta in (theta_k, theta_s):
+            value = {a.perm: theta(g, a) for a in auts}
+            for s in strong_generators(auts):
+                for a in auts:
+                    product = Automorphism(g, perms.compose(a.perm, s.perm))
+                    assert theta(g, product) == value[a.perm] * value[s.perm]
+
+
+def literal_sweep(spec):
+    """The sweep with every automorphism evaluated: injected thetas are
+    never taken to be homomorphisms."""
+    return sweep_theorem(spec, lambda g, a: theta_k(g, a), lambda g, a: theta_s(g, a))
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(5),
+    CorpusSpec(5, allow_loops=False),
+    CorpusSpec(6, allow_loops=False),
+    CorpusSpec(5, connected_only=False),
+], ids=["e5", "e5-no-loops", "e6-no-loops", "e5-disconnected"])
+def test_sweep_on_generators_matches_literal_sweep(spec):
+    fast = sweep_theorem(spec)
+    literal = literal_sweep(spec)
+    for fmt in ("json", "csv"):
+        assert render_report(fast, fmt) == render_report(literal, fmt)
+    if not spec.connected_only:
+        # Disconnected graphs disagree, so the fallback lists violations.
+        assert len(fast.violations) > 1000
+
+
+def test_connected_sweep_decides_on_generators(monkeypatch):
+    def no_fallback(*args):
+        raise AssertionError("literal sweep used on a connected graph")
+
+    monkeypatch.setattr(corpus, "_decide_literally", no_fallback)
+    assert sweep_theorem(CorpusSpec(5)).totals == {
+        "graphs": 142, "automorphisms": 6706, "violations": 0}
 
 
 def test_doctored_theta_is_caught():

@@ -125,6 +125,28 @@ def test_unknown_family_is_rejected():
         build_family(FamilyParams("IV", 1))
 
 
+@pytest.mark.parametrize("params", [
+    FamilyParams(Family.I, 1.5),
+    FamilyParams(Family.I, True),
+    FamilyParams(Family.II, 2, False),
+    FamilyParams(Family.III, 2, 0, "1"),
+    FamilyParams(Family.III, None),
+], ids=["float", "bool-n", "bool-c", "str-m", "none"])
+def test_non_integer_parameters_are_rejected(params):
+    with pytest.raises(ValueError, match="must be integers"):
+        build_family(params)
+
+
+def test_parameters_are_read_as_integers():
+    class Index:
+        def __index__(self):
+            return 2
+
+    inst = build_family(FamilyParams(Family.III, Index(), 0, Index()))
+    assert inst.params == FamilyParams(Family.III, 2, 0, 2)
+    assert type(inst.params.n) is int
+
+
 def test_family_value_builds_its_member():
     inst = build_family(FamilyParams("II", 1, 0, 0))
     assert inst == build_family(FamilyParams(Family.II, 1, 0, 0))
