@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from .automorphisms import Automorphism, enumerate_automorphisms, strong_generators
 from .graphs import Graph, canonical_graph, format_graph
 from .limits import check_half_edges
-from .orientation import glues_signs, theta_k, theta_s
+from .orientation import fixes_every_vertex, theta_k, theta_s
 
 
 class ReportWriteError(RuntimeError):
@@ -142,21 +142,20 @@ def sweep_theorem(
     Aut(g) and whether each is orientable, and record every automorphism
     on which they disagree.
 
-    With this module's ``theta_k`` and ``theta_s`` a graph is decided on
-    generators. Both are homomorphisms Aut(g) -> {+1, -1}, so they agree
-    on the group iff they agree on the strong generators of
-    ``strong_generators``. A graph is non-orientable under a theta iff
-    some automorphism that fixes every vertex has theta -1; those form
-    the kernel of the vertex action, a group, so the question is decided
-    on the kernel's strong generators. Nothing here assumes that the two
-    thetas agree, and the Euler-characteristic identity, which would make
-    them agree by construction, is not used.
+    A graph is non-orientable under a theta iff theta is -1 on some
+    automorphism that ``fixes_every_vertex``; those form the kernel of the
+    vertex action, built once per graph. With this module's ``theta_k``
+    and ``theta_s``, both homomorphisms Aut(g) -> {+1, -1}, a graph is
+    decided on the strong generators (``strong_generators``) of the group
+    and of the kernel. Nothing here assumes that the two thetas agree, and
+    the Euler-characteristic identity, which would make them agree by
+    construction, is not used.
 
-    A graph whose generators disagree falls back to the literal sweep,
-    which evaluates both thetas on every automorphism, so its violations
-    are listed in full. Injected thetas always take the literal sweep:
-    they need not be homomorphisms (tests doctor a sign convention and
-    confirm that the sweep detects it).
+    A graph whose generators disagree is decided again on every
+    automorphism and the whole kernel, so its violations are listed in
+    full. Injected thetas are always decided that way: they need not be
+    homomorphisms (tests doctor a sign convention and confirm that the
+    sweep detects it).
     """
     on_generators = theta_k_fn is theta_k and theta_s_fn is theta_s
     rows = []
@@ -164,10 +163,15 @@ def sweep_theorem(
     for g in enumerate_graphs(spec):
         canon = format_graph(g)
         auts = enumerate_automorphisms(g, spec.max_half_edges)
-        verdicts = _decide_on_generators(g, auts) if on_generators else None
-        if verdicts is None:
-            verdicts = _decide_literally(g, auts, canon, theta_k_fn, theta_s_fn, violations)
-        orientable_k, orientable_s, agree = verdicts
+        kernel = [a for a in auts if fixes_every_vertex(g, a)]
+        verdict = None
+        if on_generators:
+            verdict = _decide(g, strong_generators(auts), strong_generators(kernel),
+                              theta_k_fn, theta_s_fn)
+        if verdict is None or verdict[2]:  # a generator disagrees: list every violation
+            verdict = _decide(g, auts, kernel, theta_k_fn, theta_s_fn)
+        orientable_k, orientable_s, disagreements = verdict
+        violations += (Violation(canon, a.perm, tk, ts) for a, tk, ts in disagreements)
         rows.append(
             SweepRow(
                 canon=canon,
@@ -177,56 +181,31 @@ def sweep_theorem(
                 aut_order=len(auts),
                 orientable_k=orientable_k,
                 orientable_s=orientable_s,
-                agree=agree,
+                agree=not disagreements,
             )
         )
     return SweepReport(spec, tuple(rows), tuple(violations))
 
 
-def _decide_on_generators(g: Graph, auts: list[Automorphism]) -> tuple[bool, bool, bool] | None:
-    """(orientable_k, orientable_s, True) from strong generators, or None
-    if theta_k and theta_s disagree on one of them."""
-    values: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def thetas(a: Automorphism) -> tuple[int, int]:
-        if a.perm not in values:
-            values[a.perm] = (theta_k(g, a), theta_s(g, a))
-        return values[a.perm]
-
-    if any(tk != ts for tk, ts in map(thetas, strong_generators(auts))):
-        return None
-    vertex_of = g.vertex_of
-    kernel = [a for a in auts if all(vertex_of[x] == vertex_of[h] for h, x in enumerate(a.perm))]
-    kernel_values = [thetas(a) for a in strong_generators(kernel)]
-    return (
-        all(tk == 1 for tk, _ in kernel_values),
-        all(ts == 1 for _, ts in kernel_values),
-        True,
-    )
-
-
-def _decide_literally(
+def _decide(
     g: Graph,
-    auts: list[Automorphism],
-    canon: str,
+    tested: list[Automorphism],
+    kernel: list[Automorphism],
     theta_k_fn: ThetaFn,
     theta_s_fn: ThetaFn,
-    violations: list[Violation],
-) -> tuple[bool, bool, bool]:
-    """(orientable_k, orientable_s, agree) from both thetas on every
-    automorphism; appends each disagreement to ``violations``."""
-    orientable_k = True
-    orientable_s = True
-    agree = True
-    for a in auts:
-        tk = theta_k_fn(g, a)
-        ts = theta_s_fn(g, a)
+) -> tuple[bool, bool, list[tuple[Automorphism, int, int]]]:
+    """(orientable_k, orientable_s, disagreements): whether each theta is +1
+    on all of ``kernel``, and (a, theta_k, theta_s) for each a in ``tested``,
+    in order, on which the two differ. Each element's thetas are evaluated once."""
+    values = {a.perm: (theta_k_fn(g, a), theta_s_fn(g, a)) for a in kernel}
+    disagreements = []
+    for a in tested:
+        tk, ts = values.get(a.perm) or (theta_k_fn(g, a), theta_s_fn(g, a))
         if tk != ts:
-            agree = False
-            violations.append(Violation(canon, a.perm, tk, ts))
-        orientable_k = orientable_k and not glues_signs(g, a, tk)
-        orientable_s = orientable_s and not glues_signs(g, a, ts)
-    return orientable_k, orientable_s, agree
+            disagreements.append((a, tk, ts))
+    kernel_values = values.values()
+    return (all(tk == 1 for tk, _ in kernel_values), all(ts == 1 for _, ts in kernel_values),
+            disagreements)
 
 
 def report_to_dict(report: SweepReport) -> dict:

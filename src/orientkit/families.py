@@ -22,6 +22,7 @@ from math import prod
 from . import perms
 from .automorphisms import Automorphism, as_automorphism, induced_actions, is_automorphism
 from .graphs import Graph, orbit_contraction, validate
+from .limits import MAX_FAMILY_N, SizeLimitExceeded
 from .orientation import (
     default_arrows,
     det_sign,
@@ -83,7 +84,8 @@ def build_family(params: FamilyParams) -> FamilyInstance:
 
     Raises ``ValueError`` for an unknown family, for n, c or m that is
     not an integer (a bool included) and for parameters outside the rules
-    of the module docstring.
+    of the module docstring, and ``SizeLimitExceeded`` for n above
+    ``MAX_FAMILY_N``.
     """
     family = Family(params.family)
     try:
@@ -94,6 +96,7 @@ def build_family(params: FamilyParams) -> FamilyInstance:
     if min(c, m) < 0 or c + m > n or (family is Family.I and m):
         rule = "0 <= c <= n and m = 0" if family is Family.I else "c, m >= 0 and c + m <= n"
         raise ValueError(f"family {family.value} needs {rule}, got n={n}, c={c}, m={m}")
+    _check_n(n)
     half = 2**n
     size = 2 * half
     period = 2 ** (c + m)
@@ -120,8 +123,16 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
+def _check_n(n: int) -> None:
+    if n > MAX_FAMILY_N:
+        raise SizeLimitExceeded(f"family instances are limited to n <= {MAX_FAMILY_N}, got n={n}")
+
+
 def family_instances(max_n: int, families: tuple[Family | str, ...] = tuple(Family)):
-    """All legal instances with n <= max_n, in deterministic order."""
+    """All legal instances with n <= max_n, in deterministic order. Raises
+    ``SizeLimitExceeded`` before the first instance if max_n is above
+    ``MAX_FAMILY_N``."""
+    _check_n(max_n)
     families = tuple(map(Family, families))
     for n in range(max_n + 1):
         for family in families:

@@ -1,4 +1,5 @@
-"""Size caps: half-edges for the exhaustive searches, digits for integers read from text."""
+"""Size caps: half-edges for the exhaustive searches, n for the families, digits for
+integers read from text."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import re
 
 DEFAULT_MAX_HALF_EDGES = 14
 ENV_VAR = "ORIENTKIT_MAX_HALFEDGES"
+# Family instances have 2**(n+1) half-edges; n = 12 builds in tens of milliseconds.
+MAX_FAMILY_N = 12
 
 # A valid graph's half-edge count and ids are below its text's length, so
 # no graph needs longer integers, and int() never meets Python's digit limit.

@@ -273,26 +273,23 @@ def theta_k(
 # --- orientability --------------------------------------------------------
 
 
-def glues_signs(g: Graph, a: Automorphism, value: int) -> bool:
-    """True iff ``a`` has theta value -1 and fixes every vertex.
-
-    Such an automorphism glues the two signs of every vertex enumeration,
-    so the graph is non-orientable exactly when one exists. The vertex
-    action is computed only for value -1.
-    """
-    return value == -1 and induced_actions(g, a).vertex_perm == perms.identity(len(g.vertices))
+def fixes_every_vertex(g: Graph, a: Automorphism) -> bool:
+    """True iff ``a`` is in the kernel of the vertex action. A graph is
+    non-orientable under a theta iff theta is -1 on some such automorphism."""
+    vertex_of = g.vertex_of
+    return all(vertex_of[x] == vertex_of[h] for h, x in enumerate(a.perm))
 
 
 def orientability(g: Graph, theta: ThetaHom) -> OrientationReport:
     """Fast orientability verdict for the chosen homomorphism.
 
-    The graph is non-orientable exactly when some automorphism glues signs
-    (see ``glues_signs``); the first witness in automorphism order is
-    reported. ``or_orbits_bruteforce`` is the independent slow oracle.
+    The witness is the first automorphism, in enumeration order, that
+    ``fixes_every_vertex`` and has theta -1. ``or_orbits_bruteforce`` is
+    the independent slow oracle.
     """
     auts = enumerate_automorphisms(g)
     values = tuple((a, theta.evaluate(g, a)) for a in auts)
-    witness = next((a for a, value in values if glues_signs(g, a, value)), None)
+    witness = next((a for a, value in values if value == -1 and fixes_every_vertex(g, a)), None)
     verdict = Verdict.NON_ORIENTABLE if witness is not None else Verdict.ORIENTABLE
     return OrientationReport(theta, verdict, witness, values)
 

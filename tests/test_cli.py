@@ -147,6 +147,14 @@ def test_families_output_is_pinned(capsys):
     assert digest == "d54acaa328c34f9da192045c6b47bd27cf72d803ed0c1d88327d7a97ad36c70e"
 
 
+def test_families_above_the_n_bound_exits_1(capsys):
+    assert cli_main(["families", "--max-n", "999999999999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: family instances are limited to n <= 12, got n=999999999999999999\n")
+
+
 def test_verify_clean_corpus(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert cli_main(["verify", "--max-edges", "2", "--out", str(out_path)]) == 0

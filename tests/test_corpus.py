@@ -210,6 +210,17 @@ def test_report_bytes_are_pinned():
     )
 
 
+def test_report_bytes_are_pinned_with_disconnected_graphs():
+    # The digest `orientkit verify --max-edges 4 --no-connected-only` has
+    # always printed. Disconnected graphs disagree, so this pins the
+    # decision on every automorphism: 112 graphs, 800 violations.
+    report = sweep_theorem(CorpusSpec(4, connected_only=False))
+    assert report.totals == {"graphs": 112, "automorphisms": 3025, "violations": 800}
+    assert hashlib.sha256(render_report(report, "json")).hexdigest() == (
+        "c6b5360423e3056e2fea210014fdfd9f3a9ae44ae7ec5b627c853bf645306a96"
+    )
+
+
 def test_report_bytes_are_pinned_at_six_edges():
     # The digest `orientkit verify --max-edges 6` has always printed.
     rendered = render_report(sweep_theorem(CorpusSpec(6)), "json")
@@ -259,12 +270,19 @@ def test_sweep_on_generators_matches_literal_sweep(spec):
 
 
 def test_connected_sweep_decides_on_generators(monkeypatch):
-    def no_fallback(*args):
-        raise AssertionError("literal sweep used on a connected graph")
+    decide = corpus._decide
+    calls = []
 
-    monkeypatch.setattr(corpus, "_decide_literally", no_fallback)
+    def on_generators_only(g, tested, *args):
+        auts = enumerate_automorphisms(g)
+        assert len(tested) < len(auts), "whole automorphism group decided on a connected graph"
+        calls.append(g)
+        return decide(g, tested, *args)
+
+    monkeypatch.setattr(corpus, "_decide", on_generators_only)
     assert sweep_theorem(CorpusSpec(5)).totals == {
         "graphs": 142, "automorphisms": 6706, "violations": 0}
+    assert len(calls) == 142
 
 
 def test_doctored_theta_is_caught():

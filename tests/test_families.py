@@ -13,6 +13,7 @@ from orientkit.families import (
     verify_family,
 )
 from orientkit.graphs import is_isomorphic
+from orientkit.limits import MAX_FAMILY_N, SizeLimitExceeded
 from orientkit.orientation import theta_k, theta_s
 
 
@@ -145,6 +146,16 @@ def test_parameters_are_read_as_integers():
     inst = build_family(FamilyParams(Family.III, Index(), 0, Index()))
     assert inst.params == FamilyParams(Family.III, 2, 0, 2)
     assert type(inst.params.n) is int
+
+
+def test_family_n_is_bounded_before_building():
+    # 2**(10**17) is never computed: the bound is checked first.
+    with pytest.raises(SizeLimitExceeded, match=f"n <= {MAX_FAMILY_N}, got n={10**17}$"):
+        build_family(FamilyParams(Family.III, 10**17))
+    assert build_family(FamilyParams(Family.III, MAX_FAMILY_N)).graph.half_edge_count == 2**13
+    instances = family_instances(MAX_FAMILY_N + 1)
+    with pytest.raises(SizeLimitExceeded):
+        next(instances)
 
 
 def test_family_value_builds_its_member():

@@ -324,6 +324,25 @@ class TestOrientability:
         report = orientability(complete_graph(4), ThetaHom.VERTEX_PARITY)
         assert report.verdict is Verdict.ORIENTABLE
 
+    def test_witness_is_first_vertex_fixing_minus_one(self):
+        # The witness, found independently: the first automorphism in
+        # enumeration order with theta -1 whose vertex action is the identity.
+        witnesses = 0
+        for g in enumerate_graphs(CorpusSpec(4, connected_only=False)):
+            identity = perms.identity(len(g.vertices))
+            for theta in ThetaHom:
+                expected = next(
+                    (a for a in enumerate_automorphisms(g)
+                     if theta.evaluate(g, a) == -1
+                     and induced_actions(g, a).vertex_perm == identity),
+                    None)
+                report = orientability(g, theta)
+                assert report.witness == expected
+                assert report.verdict is (
+                    Verdict.ORIENTABLE if expected is None else Verdict.NON_ORIENTABLE)
+                witnesses += expected is not None
+        assert witnesses > 100
+
 
 class TestOrOrbits:
     def test_examples(self, loop, single_edge):
