@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import perms
@@ -12,6 +11,7 @@ from .graphs import (
     induced_edge_perm,
     induced_vertex_perm,
     preserves_partitions,
+    spanning_forest,
 )
 from .limits import check_half_edges
 from .perms import Perm
@@ -54,39 +54,24 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
     Backtracking over half-edge images: a candidate must sit in a vertex
     block compatible with the partial map and share the (vertex valence,
     vertex loop count, on-a-loop) signature of its preimage. Half-edges are
-    assigned vertex by vertex in BFS order, one component at a time, each
-    followed by its partner; so past a component's root every vertex's
-    image is forced by an edge already mapped. The automorphisms are then
-    sorted. Raises ``SizeLimitExceeded`` above the half-edge cap.
+    assigned vertex by vertex in the visiting order of
+    ``graphs.spanning_forest``, the one traversal shared with the cycle
+    basis, each followed by its partner; so past a component's root every
+    vertex's image is forced by an edge already mapped. The automorphisms
+    are then sorted. Raises ``SizeLimitExceeded`` above the half-edge cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     n = g.half_edge_count
-    if n == 0:
-        return [Automorphism(g, ())]
-
     partner = g.partner
     vertex_of = g.vertex_of
     nv = len(g.vertices)
     vsig = [(len(g.vertices[v]), g.loop_count(v)) for v in range(nv)]
     hsig = [(vsig[vertex_of[h]], vertex_of[h] == vertex_of[partner[h]]) for h in range(n)]
 
-    order: list[int] = []
-    placed = [False] * n
-    reached = [False] * nv
-    for root in range(nv):
-        if reached[root]:
-            continue
-        reached[root] = True
-        queue = deque([root])
-        while queue:
-            for h in g.vertices[queue.popleft()]:
-                p = partner[h]
-                if not placed[h]:
-                    placed[h] = placed[p] = True
-                    order += (h, p)
-                if not reached[vertex_of[p]]:
-                    reached[vertex_of[p]] = True
-                    queue.append(vertex_of[p])
+    # Each vertex's half-edges in ascending order, each followed by its
+    # partner; a half-edge met again as a partner is not assigned twice.
+    order = list(dict.fromkeys(
+        x for v in spanning_forest(g)[0] for h in g.vertices[v] for x in (h, partner[h])))
 
     img = [-1] * n
     used = [False] * n

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 from .automorphisms import Automorphism, enumerate_automorphisms, strong_generators
 from .graphs import Graph, canonical_graph, format_graph
-from .limits import check_half_edges
+from .limits import check_half_edges, half_edge_cap, nonnegative
 from .orientation import fixes_every_vertex, theta_k, theta_s
 
 
@@ -34,6 +34,12 @@ class CorpusSpec:
     allow_loops: bool = True
     connected_only: bool = True
     max_half_edges: int | None = None
+
+    def __post_init__(self) -> None:
+        """Raises ValueError unless max_edges, and max_half_edges when set, are integers >= 0."""
+        object.__setattr__(self, "max_edges", nonnegative(self.max_edges, "max_edges"))
+        if self.max_half_edges is not None:
+            object.__setattr__(self, "max_half_edges", half_edge_cap(self.max_half_edges))
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,6 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     order of the canonical forms. The empty graph belongs to the corpus
     only when ``connected_only`` is off (connectedness requires a vertex).
     """
-    if spec.max_edges < 0:
-        raise ValueError("max_edges must be >= 0")
     check_half_edges(2 * spec.max_edges, spec.max_half_edges)
     empty = Graph(edges=(), vertices=())
     level = {format_graph(empty).encode("ascii"): empty}

@@ -14,7 +14,6 @@ b-rail; in families II and III psi shifts each rail by one.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
@@ -22,7 +21,7 @@ from math import prod
 from . import perms
 from .automorphisms import Automorphism, as_automorphism, induced_actions, is_automorphism
 from .graphs import Graph, orbit_contraction, validate
-from .limits import MAX_FAMILY_N, SizeLimitExceeded
+from .limits import MAX_FAMILY_N, SizeLimitExceeded, integer
 from .orientation import (
     default_arrows,
     det_sign,
@@ -89,7 +88,7 @@ def build_family(params: FamilyParams) -> FamilyInstance:
     """
     family = Family(params.family)
     try:
-        n, c, m = (_integer(x) for x in (params.n, params.c, params.m))
+        n, c, m = (integer(x) for x in (params.n, params.c, params.m))
     except TypeError:
         raise ValueError(f"family parameters must be integers, got n={params.n!r}, "
                          f"c={params.c!r}, m={params.m!r}") from None
@@ -115,12 +114,6 @@ def build_family(params: FamilyParams) -> FamilyInstance:
         vertices[label].append(h)
     g = validate(size, [(t, half + t) for t in range(half)], vertices)
     return FamilyInstance(g, as_automorphism(g, psi), FamilyParams(family, n, c, m))
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool):
-        raise TypeError("a bool is not a family parameter")
-    return operator.index(value)
 
 
 def _check_n(n: int) -> None:

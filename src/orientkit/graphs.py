@@ -124,6 +124,33 @@ class Graph:
         return len(self.connected_components()) == 1
 
 
+def spanning_forest(g: Graph, roots: Iterable[int] | None = None) -> tuple[list[int], list[int]]:
+    """The BFS spanning forest: (order, via), the vertices in visiting order
+    and, by vertex, the edge to its parent (-1 at a root or where no root reaches).
+
+    Components are entered at ``roots`` in order (default: ascending vertex
+    ids). Each vertex's edges are scanned in edge-id order, loops skipped.
+    """
+    vertex_of, edge_of, partner = g.vertex_of, g.edge_of, g.partner
+    order: list[int] = []
+    via = [-1] * len(g.vertices)
+    seen = [False] * len(g.vertices)
+    head = 0  # order doubles as the queue; order[head:] is still to be scanned
+    for root in range(len(g.vertices)) if roots is None else roots:
+        if not seen[root]:
+            seen[root] = True
+            order.append(root)
+        while head < len(order):
+            for h in sorted(g.vertices[order[head]], key=edge_of.__getitem__):
+                w = vertex_of[partner[h]]
+                if not seen[w]:  # a loop leads back to its own vertex, already seen
+                    seen[w] = True
+                    via[w] = edge_of[h]
+                    order.append(w)
+            head += 1
+    return order, via
+
+
 def merge_classes(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
     """Union-find over 0..n-1: the smallest member of each element's class.
 

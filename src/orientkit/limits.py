@@ -3,8 +3,10 @@ integers read from text."""
 
 from __future__ import annotations
 
+import operator
 import os
 import re
+from contextlib import suppress
 
 DEFAULT_MAX_HALF_EDGES = 14
 ENV_VAR = "ORIENTKIT_MAX_HALFEDGES"
@@ -42,10 +44,26 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def integer(value) -> int:
+    """The integer rule for API parameters: ``operator.index``, refusing a bool (TypeError)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def nonnegative(value, what: str) -> int:
+    """``integer(value)`` if it is >= 0; otherwise ValueError naming ``what``."""
+    with suppress(TypeError):
+        if (n := integer(value)) >= 0:
+            return n
+    raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+
+
 def half_edge_cap(override: int | None = None) -> int:
-    """Effective half-edge cap: explicit override, else env var, else default."""
+    """Effective half-edge cap: explicit override, else env var, else default.
+    An override that is not an integer >= 0 raises ValueError."""
     if override is not None:
-        return override
+        return nonnegative(override, "max_half_edges")
     value = os.environ.get(ENV_VAR)
     if not value:
         return DEFAULT_MAX_HALF_EDGES

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,7 +27,7 @@ from math import prod
 from operator import itemgetter
 
 from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
-from .graphs import Graph, induced_edge_perm
+from .graphs import Graph, induced_edge_perm, induced_vertex_perm, spanning_forest
 from .limits import SizeLimitExceeded
 from . import perms
 from .perms import Perm
@@ -110,62 +109,33 @@ def theta_parity(g: Graph, a: Automorphism) -> int:
 def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None = None) -> IntMatrix:
     """Fundamental-cycle matrix: |E| rows, one column per non-tree edge.
 
-    A spanning forest is grown by BFS; roots are taken in ``vertex_order``
+    The forest is ``graphs.spanning_forest`` rooted in ``vertex_order``
     (default: ascending vertex id, i.e. rooted at the vertex holding the
-    lowest half-edge of each component) and edges are scanned in id order,
-    so the default forest is deterministic. Each non-tree edge contributes
-    the cycle that follows its arrow tail-to-head and returns through the
-    forest, with entries in {-1, 0, +1}.
+    lowest half-edge of each component), the one traversal shared with the
+    automorphism search, so the default forest is deterministic. Each
+    non-tree edge contributes the cycle that follows its arrow tail-to-head
+    and returns through the forest, with entries in {-1, 0, +1}.
     """
     ne = len(g.edges)
-    nv = len(g.vertices)
-    order = vertex_order if vertex_order is not None else tuple(range(nv))
-    incident: list[list[int]] = [[] for _ in range(nv)]
-    for e, (x, y) in enumerate(g.edges):
-        incident[g.vertex_of[x]].append(e)
-        if g.vertex_of[y] != g.vertex_of[x]:
-            incident[g.vertex_of[y]].append(e)
-
-    visited = [False] * nv
-    parent: dict[int, tuple[int, int]] = {}  # child vertex -> (parent vertex, edge)
-    tree = [False] * ne
-    for root in order:
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for e in incident[u]:
-                t = arrows[e]
-                h = g.partner[t]
-                tv, hv = g.vertex_of[t], g.vertex_of[h]
-                other = hv if tv == u else tv
-                if other != u and not visited[other]:
-                    visited[other] = True
-                    tree[e] = True
-                    parent[other] = (u, e)
-                    queue.append(other)
+    vertex_of, partner = g.vertex_of, g.partner
+    via = spanning_forest(g, vertex_order)[1]
 
     def add_path(col: list[int], v: int, sign_up: int) -> None:
         # Walk v up to its root; sign_up applies to steps taken child->parent.
-        while v in parent:
-            p, e = parent[v]
+        while (e := via[v]) >= 0:
             t = arrows[e]
-            along = g.vertex_of[t] == v  # arrow points child -> parent
-            col[e] += sign_up if along else -sign_up
-            v = p
+            up = vertex_of[t] == v  # arrow points child -> parent
+            col[e] += sign_up if up else -sign_up
+            v = vertex_of[partner[t]] if up else vertex_of[t]
 
     columns = []
-    for e in range(ne):
-        if tree[e]:
-            continue
+    for e in sorted(set(range(ne)).difference(via)):  # the non-tree edges
         col = [0] * ne
         col[e] = 1
         t = arrows[e]
         # Both walks share the path above the common ancestor, where they cancel.
-        add_path(col, g.vertex_of[g.partner[t]], 1)
-        add_path(col, g.vertex_of[t], -1)
+        add_path(col, vertex_of[partner[t]], 1)
+        add_path(col, vertex_of[t], -1)
         columns.append(col)
     return tuple(tuple(columns[j][i] for j in range(len(columns))) for i in range(ne))
 
@@ -275,9 +245,10 @@ def theta_k(
 
 def fixes_every_vertex(g: Graph, a: Automorphism) -> bool:
     """True iff ``a`` is in the kernel of the vertex action. A graph is
-    non-orientable under a theta iff theta is -1 on some such automorphism."""
-    vertex_of = g.vertex_of
-    return all(vertex_of[x] == vertex_of[h] for h, x in enumerate(a.perm))
+    non-orientable under a theta iff theta is -1 on some such automorphism.
+    An automorphism maps each vertex block onto a whole block, so the
+    induced vertex permutation decides it."""
+    return induced_vertex_perm(g, a.perm) == perms.identity(len(g.vertices))
 
 
 def orientability(g: Graph, theta: ThetaHom) -> OrientationReport:

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from orientkit import corpus, perms
+from orientkit import corpus, limits, perms
 from orientkit.automorphisms import (
     Automorphism,
     enumerate_automorphisms,
@@ -111,6 +111,39 @@ def test_zero_edges():
     graphs = list(enumerate_graphs(CorpusSpec(0, connected_only=False)))
     assert len(graphs) == 1
     assert graphs[0].half_edge_count == 0
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_edges": True},
+    {"max_edges": 2.5},
+    {"max_edges": "2"},
+    {"max_edges": -1},
+    {"max_edges": 2, "max_half_edges": -1},
+    {"max_edges": 2, "max_half_edges": True},
+    {"max_edges": 2, "max_half_edges": 4.0},
+], ids=["bool", "float", "str", "negative", "negative-cap", "bool-cap", "float-cap"])
+def test_corpus_spec_rejects_what_is_not_a_count(kwargs):
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        CorpusSpec(**kwargs)
+
+
+@pytest.mark.parametrize("override", [-1, True, 2.5])
+def test_half_edge_cap_override_must_be_a_count(override):
+    with pytest.raises(ValueError, match="max_half_edges must be an integer >= 0"):
+        limits.half_edge_cap(override)
+
+
+def test_corpus_spec_reads_sizes_as_integers():
+    spec = CorpusSpec(_Two(), max_half_edges=_Two())
+    assert (spec.max_edges, spec.max_half_edges) == (2, 2)
+    assert type(spec.max_edges) is int and type(spec.max_half_edges) is int
+    # The report holds the int, which json can write.
+    assert b'"max_edges": 2,' in render_report(sweep_theorem(CorpusSpec(_Two())), "json")
 
 
 def test_class_counts_frozen():
