@@ -36,7 +36,11 @@ class CorpusSpec:
     max_half_edges: int | None = None
 
     def __post_init__(self) -> None:
-        """Raises ValueError unless max_edges, and max_half_edges when set, are integers >= 0."""
+        """Raises ValueError unless max_edges, and max_half_edges when set, are integers >= 0
+        and allow_loops and connected_only are bools."""
+        for name in ("allow_loops", "connected_only"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         object.__setattr__(self, "max_edges", nonnegative(self.max_edges, "max_edges"))
         if self.max_half_edges is not None:
             object.__setattr__(self, "max_half_edges", half_edge_cap(self.max_half_edges))

@@ -437,67 +437,35 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
 def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     """Canonical representative of g's isomorphism class.
 
-    Exhaustive backtracking over vertex orderings, minimizing the sequence
-    of per-vertex rows ((valence, loop count), adjacency to the already
-    placed prefix); ties are explored, so the outcome is invariant under any
-    relabeling. Intended for desk-scale graphs: raises ``SizeLimitExceeded``
-    above the configured half-edge cap.
+    Places the vertices one at a time and keeps the vertex order whose
+    sequence of rows is least, a vertex's row being (valence, loop count,
+    multiplicity to each placed vertex in placing order). The rows at one
+    level all have the same length and depend only on the placed prefix, so
+    the least sequence takes the least available row at every level: only
+    the candidates with that row recurse, and the least of their
+    continuations wins. A vertex's row grows by one entry as each vertex is
+    placed; it is never rebuilt. Equal sequences give the same graph, so the
+    result is invariant under relabeling. Intended for desk-scale graphs:
+    raises ``SizeLimitExceeded`` above the configured half-edge cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     nv = len(g.vertices)
-    if nv == 0:
-        return g
-    loops = [0] * nv
-    mult = [[0] * nv for _ in range(nv)]
+    mult = [[0] * nv for _ in range(nv)]  # a loop adds 2 on the diagonal
     for a, b in g.edges:
-        u, v = g.vertex_of[a], g.vertex_of[b]
-        if u == v:
-            loops[u] += 1
-        else:
-            mult[u][v] += 1
-            mult[v][u] += 1
-    sig = [(len(g.vertices[v]), loops[v]) for v in range(nv)]
+        mult[g.vertex_of[a]][g.vertex_of[b]] += 1
+        mult[g.vertex_of[b]][g.vertex_of[a]] += 1
 
-    order: list[int] = []
-    cur: list[tuple] = []
-    used = [False] * nv
-    best_rows: list[tuple] | None = None
-    best_order: list[int] | None = None
+    def least(order: tuple[int, ...], rows: dict[int, tuple[int, ...]]) -> tuple[tuple, tuple]:
+        # The least row sequence of the unplaced vertices after order, and its vertex order.
+        if not rows:
+            return (), order
+        low = min(rows.values())
+        seq, best = min(
+            least(order + (v,), {u: r + (mult[u][v],) for u, r in rows.items() if u != v})
+            for v, r in rows.items() if r == low)
+        return (low,) + seq, best
 
-    def search(pos: int, state: int) -> None:
-        # state 0: current prefix equals the best prefix; -1: strictly below it.
-        nonlocal best_rows, best_order
-        if pos == nv:
-            if state < 0:
-                best_rows = list(cur)
-                best_order = list(order)
-            return
-        cands = sorted(
-            ((sig[v], tuple(mult[v][u] for u in order)), v)
-            for v in range(nv)
-            if not used[v]
-        )
-        for row, v in cands:
-            child = state
-            if state == 0:
-                assert best_rows is not None
-                if row > best_rows[pos]:
-                    break
-                if row < best_rows[pos]:
-                    child = -1
-            used[v] = True
-            order.append(v)
-            cur.append(row)
-            search(pos + 1, child)
-            used[v] = False
-            order.pop()
-            cur.pop()
-            if child < 0:
-                state = 0
-
-    search(0, -1)
-    assert best_order is not None
-
+    best_order = least((), {v: (len(g.vertices[v]), mult[v][v] // 2) for v in range(nv)})[1]
     pos_of = {v: i for i, v in enumerate(best_order)}
     pairs = sorted(
         tuple(sorted((pos_of[g.vertex_of[a]], pos_of[g.vertex_of[b]]))) for a, b in g.edges

@@ -114,8 +114,11 @@ def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None =
     lowest half-edge of each component), the one traversal shared with the
     automorphism search, so the default forest is deterministic. Each
     non-tree edge contributes the cycle that follows its arrow tail-to-head
-    and returns through the forest, with entries in {-1, 0, +1}.
+    and returns through the forest, with entries in {-1, 0, +1}. Raises
+    ValueError unless ``vertex_order`` is None or a permutation of the vertex ids.
     """
+    if vertex_order is not None and sorted(vertex_order) != list(range(len(g.vertices))):
+        raise ValueError(f"vertex_order is not a permutation of the vertex ids: {vertex_order!r}")
     ne = len(g.edges)
     vertex_of, partner = g.vertex_of, g.partner
     via = spanning_forest(g, vertex_order)[1]

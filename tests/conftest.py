@@ -1,6 +1,12 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, parse_graph, validate
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +54,21 @@ def relabel(g, images):
     edges = [(images[a], images[b]) for a, b in g.edges]
     blocks = [[images[h] for h in block] for block in g.vertices]
     return validate(g.half_edge_count, edges, blocks)
+
+
+@pytest.fixture(scope="session")
+def relabelled_shapes():
+    """The theta-sym and orient-oracle benchmark shapes relabelled under three
+    fixed seeds by the benchmark's own text builder (its module is only read)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for seed in (1, 2, 3):
+        rng = random.Random(f"forest/{seed}")
+        for shape in (*workloads.theta_sym_shapes(), *workloads.ORIENT_SHAPES):
+            out.append(parse_graph(workloads.multigraph_text(rng, workloads.shape_pairs(shape))))
+    return out
 
 
 @pytest.fixture(scope="session")

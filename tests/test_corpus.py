@@ -132,6 +132,14 @@ def test_corpus_spec_rejects_what_is_not_a_count(kwargs):
         CorpusSpec(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["allow_loops", "connected_only"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_corpus_spec_flags_must_be_bools(field, value):
+    # Read by truthiness, "no" would keep the loops and be written into the report as given.
+    with pytest.raises(ValueError, match=f"{field} must be a bool, got {value!r}"):
+        CorpusSpec(1, **{field: value})
+
+
 @pytest.mark.parametrize("override", [-1, True, 2.5])
 def test_half_edge_cap_override_must_be_a_count(override):
     with pytest.raises(ValueError, match="max_half_edges must be an integer >= 0"):
@@ -286,17 +294,21 @@ def literal_sweep(spec):
     return sweep_theorem(spec, lambda g, a: theta_k(g, a), lambda g, a: theta_s(g, a))
 
 
-@pytest.mark.parametrize("spec", [
-    CorpusSpec(5),
-    CorpusSpec(5, allow_loops=False),
-    CorpusSpec(6, allow_loops=False),
-    CorpusSpec(5, connected_only=False),
+@pytest.mark.parametrize("spec, digest", [
+    (CorpusSpec(5), "cd0035866740eeffaa95930de03bbb84b42a91ce67a5de1139c3631b7b0dfc86"),
+    (CorpusSpec(5, allow_loops=False),
+     "e880eae153b85b1753bea770cb1047d8d3fe69b93749ce44f8552276b9177a8d"),
+    (CorpusSpec(6, allow_loops=False),
+     "ed6ec523cf06dc4dd9ba616617674ef125383b7339e23dace820c8c8751599f7"),
+    (CorpusSpec(5, connected_only=False),
+     "48af2b2a65291723c1495d1b15394e0e7f4ec85c7002a76e3d013d298d7a8904"),
 ], ids=["e5", "e5-no-loops", "e6-no-loops", "e5-disconnected"])
-def test_sweep_on_generators_matches_literal_sweep(spec):
+def test_sweep_on_generators_matches_literal_sweep(spec, digest):
     fast = sweep_theorem(spec)
     literal = literal_sweep(spec)
     for fmt in ("json", "csv"):
         assert render_report(fast, fmt) == render_report(literal, fmt)
+    assert hashlib.sha256(render_report(fast, "json")).hexdigest() == digest
     if not spec.connected_only:
         # Disconnected graphs disagree, so the fallback lists violations.
         assert len(fast.violations) > 1000

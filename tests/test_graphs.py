@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -338,6 +339,34 @@ class TestContraction:
         assert multi_edge_with_survivors > 0
 
 
+def random_cubic(n, seed):
+    """A simple cubic graph on n vertices from the seeded pairing model."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return graph_from_vertex_pairs(sorted(pairs), n)
+
+
+def named_graphs():
+    """Petersen, the cube, K_{3,3}, K_5, the 12-cycle and two random cubic
+    graphs: many tied rows, and more half-edges than the default cap."""
+    return [
+        graph_from_vertex_pairs(
+            [(i, i + 5) for i in range(5)] + [(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 10),
+        graph_from_vertex_pairs(
+            [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b], 8),
+        graph_from_vertex_pairs([(i, 3 + j) for i in range(3) for j in range(3)], 6),
+        complete_graph(5),
+        graph_from_vertex_pairs([(i, (i + 1) % 12) for i in range(12)], 12),
+        random_cubic(10, "cubic/10"),
+        random_cubic(12, "cubic/12"),
+    ]
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance(self, triangle, corpus3):
         rng = random.Random(411)
@@ -369,6 +398,19 @@ class TestCanonicalForm:
             rep = gr.canonical_graph(g)
             assert gr.canonical_graph(rep) == rep
             assert gr.format_graph(rep).encode("ascii") == gr.canonical_form(g)
+
+    def test_canonical_forms_are_pinned(self, relabelled_shapes):
+        # Pins the labelling itself, so that a faster search must reach the same minimum.
+        rng = random.Random(1414)
+        graphs = list(relabelled_shapes)
+        for g in named_graphs():
+            ids = list(range(g.half_edge_count))
+            rng.shuffle(ids)
+            graphs += [g, relabel(g, ids)]
+        forms = [gr.format_graph(gr.canonical_graph(g, g.half_edge_count)) for g in graphs]
+        assert forms[-14::2] == forms[-13::2]  # each named graph and its relabelled copy
+        assert (hashlib.sha256("\n".join(forms).encode()).hexdigest()
+                == "8426435112d8fe9e1211361a8040751221a492f8c8eaa9e9411ca4931d1d7825")
 
     def test_size_limit(self):
         big = flower(8)  # 16 half-edges, over the default cap of 14

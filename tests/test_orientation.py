@@ -166,6 +166,15 @@ class TestCycleBasis:
         assert cycle_basis(triangle, default_arrows(triangle)) == ((1,), (1,), (1,))
         assert cycle_basis(double_edge, default_arrows(double_edge)) == ((-1,), (1,))
 
+    @pytest.mark.parametrize("order", [(), (0, 0), (7,)])
+    def test_vertex_order_must_be_a_permutation(self, triangle, order):
+        # () roots no vertex, so every edge would be a non-tree edge and its column no cycle.
+        flip = as_automorphism(triangle, (5, 4, 3, 2, 1, 0))
+        with pytest.raises(ValueError, match="not a permutation of the vertex ids"):
+            cycle_basis(triangle, default_arrows(triangle), order)
+        with pytest.raises(ValueError, match="not a permutation of the vertex ids"):
+            theta_k(triangle, flip, vertex_order=order)
+
     def test_columns_are_cycles_of_full_rank(self, corpus3):
         for g, _ in corpus3:
             arrows = default_arrows(g)

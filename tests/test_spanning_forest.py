@@ -6,9 +6,6 @@ half-edge id) would pick other tree edges or another visiting order.
 """
 
 import hashlib
-import importlib.util
-import random
-from pathlib import Path
 
 import pytest
 
@@ -16,23 +13,11 @@ from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, par
 from orientkit.graphs import spanning_forest
 from orientkit.orientation import cycle_basis, default_arrows
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
 @pytest.fixture(scope="module")
-def graphs():
-    """The theta-sym and orient-oracle benchmark shapes relabelled under three
-    fixed seeds by the benchmark's own text builder (its module is only
-    read), then every graph of ``CorpusSpec(4, connected_only=False)``."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    out = []
-    for seed in (1, 2, 3):
-        rng = random.Random(f"forest/{seed}")
-        for shape in (*workloads.theta_sym_shapes(), *workloads.ORIENT_SHAPES):
-            out.append(parse_graph(workloads.multigraph_text(rng, workloads.shape_pairs(shape))))
-    return out + list(enumerate_graphs(CorpusSpec(4, connected_only=False)))
+def graphs(relabelled_shapes):
+    """The relabelled benchmark shapes, then every graph of
+    ``CorpusSpec(4, connected_only=False)``."""
+    return relabelled_shapes + list(enumerate_graphs(CorpusSpec(4, connected_only=False)))
 
 
 def digest(values) -> str:
