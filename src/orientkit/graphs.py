@@ -434,19 +434,30 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
 # --- canonical form -------------------------------------------------------
 
 
+def _least(mult: list[list[int]], twins: list[int], rows: dict[int, tuple[int, ...]]) -> tuple:
+    # The least row sequence placing rows' vertices after the prefix; v waits for twins[v].
+    if not rows:
+        return ()
+    low = min(rows.values())
+    return (low,) + min(
+        _least(mult, twins, {u: r + (mult[u][v],) for u, r in rows.items() if u != v})
+        for v, r in rows.items() if r == low and twins[v] not in rows)
+
+
 def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     """Canonical representative of g's isomorphism class.
 
-    Places the vertices one at a time and keeps the vertex order whose
-    sequence of rows is least, a vertex's row being (valence, loop count,
-    multiplicity to each placed vertex in placing order). The rows at one
-    level all have the same length and depend only on the placed prefix, so
-    the least sequence takes the least available row at every level: only
-    the candidates with that row recurse, and the least of their
-    continuations wins. A vertex's row grows by one entry as each vertex is
-    placed; it is never rebuilt. Equal sequences give the same graph, so the
-    result is invariant under relabeling. Intended for desk-scale graphs:
-    raises ``SizeLimitExceeded`` above the configured half-edge cap.
+    Places the vertices one at a time and finds the least sequence of rows,
+    a vertex's row being (valence, loop count, multiplicity to each placed
+    vertex in placing order). Rows at one level depend only on the placed
+    prefix, so only candidates with the least row recurse, and only the least
+    unplaced one of each twin class (equal loop counts, equal multiplicity to
+    every other vertex): swapping two twins keeps every multiplicity and the
+    placed prefix, so both reach the same sequence. The graph is read off the
+    sequence, so it is invariant under relabeling: position v's row holds its
+    loops at index 1 and its multiplicity to position u < v at index 2 + u,
+    and edges go in lexicographic order of their end positions. Raises
+    ``SizeLimitExceeded`` above the half-edge cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     nv = len(g.vertices)
@@ -454,27 +465,15 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     for a, b in g.edges:
         mult[g.vertex_of[a]][g.vertex_of[b]] += 1
         mult[g.vertex_of[b]][g.vertex_of[a]] += 1
-
-    def least(order: tuple[int, ...], rows: dict[int, tuple[int, ...]]) -> tuple[tuple, tuple]:
-        # The least row sequence of the unplaced vertices after order, and its vertex order.
-        if not rows:
-            return (), order
-        low = min(rows.values())
-        seq, best = min(
-            least(order + (v,), {u: r + (mult[u][v],) for u, r in rows.items() if u != v})
-            for v, r in rows.items() if r == low)
-        return (low,) + seq, best
-
-    best_order = least((), {v: (len(g.vertices[v]), mult[v][v] // 2) for v in range(nv)})[1]
-    pos_of = {v: i for i, v in enumerate(best_order)}
-    pairs = sorted(
-        tuple(sorted((pos_of[g.vertex_of[a]], pos_of[g.vertex_of[b]]))) for a, b in g.edges
-    )
-    blocks: list[list[int]] = [[] for _ in range(nv)]
-    for i, (u, v) in enumerate(pairs):
-        blocks[u].append(2 * i)
-        blocks[v].append(2 * i + 1)
-    return validate(g.half_edge_count, [(2 * i, 2 * i + 1) for i in range(len(pairs))], blocks)
+    # twins[v]: the greatest u < v whose swap with v keeps every multiplicity, else -1
+    twins = [max((u for u in range(v) if mult[u][u] == mult[v][v] and all(
+        mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v)), default=-1)
+        for v in range(nv)]
+    seq = _least(mult, twins, {v: (len(g.vertices[v]), mult[v][v] // 2) for v in range(nv)})
+    ends = [x for u in range(nv) for v in range(u, nv)  # half-edge h lies at position ends[h]
+            for _ in range(seq[u][1] if u == v else seq[v][2 + u]) for x in (u, v)]
+    return validate(len(ends), [(h, h + 1) for h in range(0, len(ends), 2)],
+                    [[h for h, x in enumerate(ends) if x == w] for w in range(nv)])
 
 
 def canonical_form(g: Graph) -> bytes:

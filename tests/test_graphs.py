@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -411,6 +412,31 @@ class TestCanonicalForm:
         assert forms[-14::2] == forms[-13::2]  # each named graph and its relabelled copy
         assert (hashlib.sha256("\n".join(forms).encode()).hexdigest()
                 == "8426435112d8fe9e1211361a8040751221a492f8c8eaa9e9411ca4931d1d7825")
+
+    def test_canonical_graph_leaves_no_reference_cycle(self, triangle):
+        # A cycle would keep the search state alive until a full collection.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            gr.canonical_graph(triangle)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_identical_components_stay_cheap(self):
+        # Seven disjoint edges, 14 half-edges inside the default cap: seven twin pairs
+        # whose rows all tie, each pair also tied with every other.
+        g = gr.validate(14, [(h, h + 1) for h in range(0, 14, 2)], [(h,) for h in range(14)])
+        start = time.perf_counter()
+        form = gr.format_graph(gr.canonical_graph(g))
+        assert time.perf_counter() - start < 2.0
+        assert form == ("halfedges=14; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13); "
+                        "vertices={0}{1}{2}{3}{4}{5}{6}{7}{8}{9}{10}{11}{12}{13}")
+        ids = list(range(14))
+        random.Random(15).shuffle(ids)
+        assert gr.format_graph(gr.canonical_graph(relabel(g, ids))) == form
 
     def test_size_limit(self):
         big = flower(8)  # 16 half-edges, over the default cap of 14
