@@ -12,6 +12,7 @@ from .graphs import (
     induced_vertex_perm,
     preserves_partitions,
     spanning_forest,
+    validate,
 )
 from .limits import check_half_edges
 from .perms import Perm
@@ -132,18 +133,19 @@ def induced_actions(g: Graph, a: Automorphism) -> InducedActions:
     )
 
 
-def strong_generators(auts: list[Automorphism]) -> list[Automorphism]:
+def strong_generators(group: list[Perm]) -> list[Perm]:
     """Coset representatives of the stabilizer chain with base 0, 1, 2, ...
 
-    ``auts`` is a whole group in lexicographic order of the image lists,
-    as ``enumerate_automorphisms`` returns it. For each pair (h, x) that
-    occurs as (first moved half-edge, its image), the first element with
+    ``group`` is a whole permutation group in lexicographic order, as
+    ``enumerate_automorphisms`` returns the image lists of Aut(g) and
+    ``vertex_quotient`` the vertex actions of Aut(M). For each pair (h, x)
+    that occurs as (first moved point, its image), the first element with
     that pair is kept; the identity moves nothing and is not kept.
 
     Let G_h be the elements that fix 0..h-1. An element outside G_h first
     moves some j < h, and to a point above j, since 0..j-1 are already
     images; so it sorts after every element of G_h, and G_h is a prefix
-    of ``auts`` with the identity first. The kept elements with first
+    of ``group`` with the identity first. The kept elements with first
     moved point h map h onto every point of its G_h-orbit other than h
     itself, one element per coset of G_{h+1} in G_h; with the identity
     for the coset G_{h+1}, they form a transversal. Every element of the
@@ -151,9 +153,99 @@ def strong_generators(auts: list[Automorphism]) -> list[Automorphism]:
     *Permutation Group Algorithms*, ch. 4), so the kept elements
     generate the group.
     """
-    firsts: dict[tuple[int, int], Automorphism] = {}
-    for a in auts:
-        h = next((i for i, x in enumerate(a.perm) if x != i), None)
+    firsts: dict[tuple[int, int], Perm] = {}
+    for p in group:
+        h = next((i for i, x in enumerate(p) if x != i), None)
         if h is not None:
-            firsts.setdefault((h, a.perm[h]), a)
+            firsts.setdefault((h, p[h]), p)
     return list(firsts.values())
+
+
+def vertex_quotient(
+    g: Graph, max_half_edges: int | None = None
+) -> tuple[int, list[Automorphism], list[Automorphism]]:
+    """(|Aut(g)|, kernel generators, lifts), without listing Aut(g).
+
+    Let M be the vertex multiplicity matrix, loop counts on the diagonal.
+    The vertex action maps Aut(g) into Aut(M), the vertex permutations
+    that preserve M; its kernel K holds the automorphisms that fix every
+    vertex. The map is onto: sigma in Aut(M) lifts to the automorphism
+    that sends the i-th edge, in id order, of the bundle between u and v
+    to the i-th edge of the bundle between sigma(u) and sigma(v), each
+    half-edge to the one at the image of its vertex, and the i-th loop at
+    u to the i-th loop at sigma(u) with its half-edges in order. So
+    |Aut(g)| = |K| * |Aut(M)|, and the generators of K together with the
+    lifts of generators of Aut(M) generate Aut(g).
+
+    K permutes the edges of each bundle and may flip loops, independently
+    per bundle: on the l loops at a vertex it is the hyperoctahedral group
+    of order 2^l * l!, and on m parallel edges the symmetric group of
+    order m!. It is generated by a flip of the first loop at each looped
+    vertex and by swaps of adjacent loops and of adjacent parallel edges.
+
+    Aut(M) is read off the skeleton, g with one edge per bundle on the
+    same vertices. A skeleton automorphism maps bundles onto bundles, so
+    its vertex action keeps the zero entries of M zero; the actions that
+    also keep every multiplicity are in Aut(M). Conversely each sigma in
+    Aut(M) maps bundles onto bundles, and the skeleton's edges map as
+    above to a skeleton automorphism with vertex action sigma. So the
+    filtered actions are exactly Aut(M). The lifts are those of the
+    ``strong_generators`` of Aut(M) in lexicographic order.
+
+    Raises ``SizeLimitExceeded`` if g is above the half-edge cap.
+    """
+    check_half_edges(g.half_edge_count, max_half_edges)
+    vertex_of = g.vertex_of
+    nv = len(g.vertices)
+
+    def bundle(u: int, v: int) -> tuple[int, int]:
+        return (u, v) if u <= v else (v, u)
+
+    # Bundle (u, v), u <= v, holds its edges in id order, each as
+    # (half-edge at u, half-edge at v); a loop keeps its half-edge order.
+    bundles: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, b in g.edges:
+        u, v = vertex_of[a], vertex_of[b]
+        bundles.setdefault(bundle(u, v), []).append((a, b) if u <= v else (b, a))
+
+    # Skeleton edge i stands for the i-th bundle: half-edge 2i at its u,
+    # 2i + 1 at its v; ends[h] is the vertex of g that half-edge h sits at.
+    ends = [w for key in bundles for w in key]
+    blocks: list[list[int]] = [[] for _ in range(nv)]
+    for h, w in enumerate(ends):
+        blocks[w].append(h)
+    skeleton = validate(len(ends), [(h, h + 1) for h in range(0, len(ends), 2)], blocks)
+    at = [block[0] for block in blocks]
+    mult = {key: len(edges) for key, edges in bundles.items()}
+
+    def preserves_mult(sigma: Perm) -> bool:
+        return all(mult[bundle(sigma[u], sigma[v])] == m for (u, v), m in mult.items())
+
+    actions = {tuple(ends[a.perm[h]] for h in at)
+               for a in enumerate_automorphisms(skeleton, max_half_edges)}
+    aut_m = sorted(sigma for sigma in actions if preserves_mult(sigma))
+
+    def swap(pairs) -> Automorphism:
+        img = list(range(g.half_edge_count))
+        for x, y in pairs:
+            img[x], img[y] = y, x
+        return Automorphism(g, tuple(img))
+
+    kernel_order = 1
+    kernel_gens = []
+    for (u, v), edges in bundles.items():
+        for i in range(1, len(edges) + 1):
+            kernel_order *= 2 * i if u == v else i
+        if u == v:
+            kernel_gens.append(swap([edges[0]]))
+        kernel_gens += (swap(zip(e, f)) for e, f in zip(edges, edges[1:]))
+
+    def lift(sigma: Perm) -> Automorphism:
+        img = [0] * g.half_edge_count
+        for (u, v), edges in bundles.items():
+            su, sv = sigma[u], sigma[v]
+            for (a, b), (c, d) in zip(edges, bundles[bundle(su, sv)]):
+                img[a], img[b] = (c, d) if su <= sv else (d, c)
+        return Automorphism(g, tuple(img))
+
+    return kernel_order * len(aut_m), kernel_gens, [lift(s) for s in strong_generators(aut_m)]

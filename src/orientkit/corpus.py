@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .automorphisms import Automorphism, enumerate_automorphisms, strong_generators
+from .automorphisms import Automorphism, enumerate_automorphisms, vertex_quotient
 from .graphs import Graph, canonical_graph, format_graph
 from .limits import check_half_edges, half_edge_cap, nonnegative
 from .orientation import fixes_every_vertex, theta_k, theta_s
@@ -151,32 +151,35 @@ def sweep_theorem(
     on which they disagree.
 
     A graph is non-orientable under a theta iff theta is -1 on some
-    automorphism that ``fixes_every_vertex``; those form the kernel of the
-    vertex action, built once per graph. With this module's ``theta_k``
-    and ``theta_s``, both homomorphisms Aut(g) -> {+1, -1}, a graph is
-    decided on the strong generators (``strong_generators``) of the group
-    and of the kernel. Nothing here assumes that the two thetas agree, and
-    the Euler-characteristic identity, which would make them agree by
-    construction, is not used.
+    automorphism that ``fixes_every_vertex``; those form the kernel K of
+    the vertex action. ``vertex_quotient`` gives |Aut(g)| = |K| * |Aut(M)|,
+    M the vertex multiplicity matrix, with closed-form generators of K and
+    lifts of generators of Aut(M), without listing Aut(g). With this
+    module's ``theta_k`` and ``theta_s``, both homomorphisms
+    Aut(g) -> {+1, -1}, a graph is decided on those: the thetas agree on
+    Aut(g) iff they agree on the kernel generators and the lifts, and each
+    is orientable iff it is +1 on the kernel generators. Nothing here
+    assumes that the two thetas agree, and the Euler-characteristic
+    identity, which would make them agree by construction, is not used.
 
     A graph whose generators disagree is decided again on every
-    automorphism and the whole kernel, so its violations are listed in
-    full. Injected thetas are always decided that way: they need not be
-    homomorphisms (tests doctor a sign convention and confirm that the
-    sweep detects it).
+    automorphism, listed by ``enumerate_automorphisms``, and the whole
+    kernel, so its violations are listed in full. Injected thetas are
+    always decided that way: they need not be homomorphisms (tests doctor
+    a sign convention and confirm that the sweep detects it).
     """
     on_generators = theta_k_fn is theta_k and theta_s_fn is theta_s
     rows = []
     violations: list[Violation] = []
     for g in enumerate_graphs(spec):
         canon = format_graph(g)
-        auts = enumerate_automorphisms(g, spec.max_half_edges)
-        kernel = [a for a in auts if fixes_every_vertex(g, a)]
+        order, kernel_gens, lifts = vertex_quotient(g, spec.max_half_edges)
         verdict = None
         if on_generators:
-            verdict = _decide(g, strong_generators(auts), strong_generators(kernel),
-                              theta_k_fn, theta_s_fn)
+            verdict = _decide(g, kernel_gens + lifts, kernel_gens, theta_k_fn, theta_s_fn)
         if verdict is None or verdict[2]:  # a generator disagrees: list every violation
+            auts = enumerate_automorphisms(g, spec.max_half_edges)
+            kernel = [a for a in auts if fixes_every_vertex(g, a)]
             verdict = _decide(g, auts, kernel, theta_k_fn, theta_s_fn)
         orientable_k, orientable_s, disagreements = verdict
         violations += (Violation(canon, a.perm, tk, ts) for a, tk, ts in disagreements)
@@ -186,7 +189,7 @@ def sweep_theorem(
                 vertex_count=len(g.vertices),
                 edge_count=len(g.edges),
                 betti=g.first_betti(),
-                aut_order=len(auts),
+                aut_order=order,
                 orientable_k=orientable_k,
                 orientable_s=orientable_s,
                 agree=not disagreements,

@@ -11,6 +11,7 @@ from orientkit.automorphisms import (
     induced_actions,
     is_automorphism,
     strong_generators,
+    vertex_quotient,
 )
 from orientkit.corpus import CorpusSpec, enumerate_graphs
 from orientkit.graphs import (
@@ -21,6 +22,7 @@ from orientkit.graphs import (
     validate,
 )
 from orientkit.limits import SizeLimitExceeded
+from orientkit.orientation import fixes_every_vertex
 
 from conftest import complete_graph, flower, relabel
 
@@ -205,27 +207,31 @@ def test_search_leaves_no_reference_cycle(triangle):
             gc.enable()
 
 
+def image_lists(g):
+    return [a.perm for a in enumerate_automorphisms(g)]
+
+
 def first_moved(p):
     return next(i for i, x in enumerate(p) if x != i)
 
 
 def test_strong_generators_examples(loop, triangle):
-    assert strong_generators(enumerate_automorphisms(validate(0, [], []))) == []
-    assert [a.perm for a in strong_generators(enumerate_automorphisms(loop))] == [(1, 0)]
+    assert strong_generators(image_lists(validate(0, [], []))) == []
+    assert strong_generators(image_lists(loop)) == [(1, 0)]
     # The triangle's group acts regularly on its six half-edges: the
     # stabilizer of 0 is trivial, so every element but the identity is kept.
-    auts = enumerate_automorphisms(triangle)
-    assert strong_generators(auts) == auts[1:]
+    group = image_lists(triangle)
+    assert strong_generators(group) == group[1:]
     # Two loops: 0 goes anywhere, and the stabilizer of 0 and 1 swaps 2, 3.
     # Generators come in list order, so the swap (0, 1, 3, 2) is first.
-    auts = enumerate_automorphisms(flower(2))
-    gens = strong_generators(auts)
-    assert [(first_moved(a.perm), a.perm[first_moved(a.perm)]) for a in gens] == [
+    group = image_lists(flower(2))
+    gens = strong_generators(group)
+    assert [(first_moved(p), p[first_moved(p)]) for p in gens] == [
         (2, 3), (0, 1), (0, 2), (0, 3)
     ]
-    for a in gens:
-        h = first_moved(a.perm)
-        assert a == next(b for b in auts if b.perm[:h] == a.perm[:h] and b.perm[h] == a.perm[h])
+    for p in gens:
+        h = first_moved(p)
+        assert p == next(q for q in group if q[:h] == p[:h] and q[h] == p[h])
 
 
 def closure(identity, gens):
@@ -243,9 +249,53 @@ def closure(identity, gens):
 @pytest.mark.parametrize("connected_only", [True, False])
 def test_strong_generators_generate_the_group(allow_loops, connected_only):
     for g in enumerate_graphs(CorpusSpec(5, allow_loops, connected_only)):
-        auts = enumerate_automorphisms(g)
-        gens = strong_generators(auts)
-        assert {a.perm for a in gens} <= {a.perm for a in auts}
-        assert closure(perms.identity(g.half_edge_count), [a.perm for a in gens]) == {
-            a.perm for a in auts
-        }
+        group = image_lists(g)
+        gens = strong_generators(group)
+        assert set(gens) <= set(group)
+        assert closure(perms.identity(g.half_edge_count), gens) == set(group)
+
+
+def test_vertex_quotient_examples(loop, single_edge, double_edge, triangle):
+    def gens(g):
+        _, kernel_gens, lifts = vertex_quotient(g)
+        return [a.perm for a in kernel_gens], [a.perm for a in lifts]
+
+    assert vertex_quotient(validate(0, [], [])) == (1, [], [])
+    assert gens(loop) == ([(1, 0)], [])
+    assert gens(single_edge) == ([], [(1, 0)])
+    # Two parallel edges: K swaps them, and the lift swaps the two vertices.
+    assert vertex_quotient(double_edge)[0] == 4
+    assert gens(double_edge) == ([(2, 3, 0, 1)], [(1, 0, 3, 2)])
+    # Three loops: a flip of the first loop and swaps of adjacent loops;
+    # one vertex, so no lifts.
+    assert vertex_quotient(flower(3))[0] == 48
+    assert gens(flower(3)) == ([(1, 0, 2, 3, 4, 5), (2, 3, 0, 1, 4, 5), (0, 1, 4, 5, 2, 3)], [])
+    # The triangle has a trivial kernel and Aut(M) = S_3.
+    assert vertex_quotient(triangle)[0] == 6
+    assert gens(triangle)[0] == []
+    # The order comes in closed form, but the cap still holds.
+    with pytest.raises(SizeLimitExceeded):
+        vertex_quotient(flower(8))
+    assert vertex_quotient(flower(8), max_half_edges=16)[0] == 2 ** 8 * 40320
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(5),
+    CorpusSpec(5, allow_loops=False),
+    CorpusSpec(4, connected_only=False),
+], ids=["e5", "e5-no-loops", "e4-disconnected"])
+def test_vertex_quotient_matches_the_enumerated_group(spec):
+    # |K| * |Aut(M)| is the group order; kernel generators fix every
+    # vertex, lifts do not, and at |E| <= 4 the products of both are
+    # exactly the enumerated group.
+    for g in enumerate_graphs(spec):
+        order, kernel_gens, lifts = vertex_quotient(g)
+        group = image_lists(g)
+        assert order == len(group)
+        assert all(is_automorphism(g, a.perm) for a in kernel_gens + lifts)
+        assert all(fixes_every_vertex(g, a) for a in kernel_gens)
+        assert not any(fixes_every_vertex(g, a) for a in lifts)
+        if len(g.edges) <= 4:
+            products = closure(perms.identity(g.half_edge_count),
+                               [a.perm for a in kernel_gens + lifts])
+            assert products == set(group)

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -10,6 +12,7 @@ from orientkit.automorphisms import (
     enumerate_automorphisms,
     induced_actions,
     strong_generators,
+    vertex_quotient,
 )
 from orientkit.corpus import (
     CorpusSpec,
@@ -177,6 +180,89 @@ def test_class_counts_match_published_series():
         assert counts == expected
 
 
+# Connected multigraphs with loops at |E| = 9 and 10, from the count oracle
+# below; no enumeration has been checked against them in the test suite.
+POLYA_CONNECTED_TERMS_9_10 = (19_902, 86_682)
+
+
+def cycle_types(n, largest=None):
+    """The partitions of n, each as a list of cycle lengths."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in cycle_types(n - k, k):
+            yield [k, *rest]
+
+
+def multigraph_counts(max_edges, allow_loops):
+    """Oracle without enumeration: the number of multigraphs with e edges
+    and no isolated vertex, for e = 0..max_edges, by Burnside's lemma over
+    S_v with v = 2 * max_edges (Harary & Palmer, Graphical Enumeration,
+    ch. 4). A vertex permutation of cycle type c is taken with weight
+    1 / prod k^m_k m_k!; it permutes the slots (vertex pairs, and loops
+    when allowed) in cycles, and a slot cycle of length L contributes
+    1 / (1 - x^L) to the fixed multigraphs. A graph with e edges has at
+    most 2e vertices, so the isolated padding counts each one once."""
+    total = [Fraction(0)] * (max_edges + 1)
+    for cycles in cycle_types(2 * max_edges):
+        weight = Fraction(1)
+        for k in set(cycles):
+            m = cycles.count(k)
+            weight /= k ** m * math.factorial(m)
+        slots = []
+        for i, a in enumerate(cycles):
+            # Pairs inside one a-cycle: (a - 1) // 2 cycles of length a and,
+            # for even a, the a / 2 opposite pairs in one cycle.
+            slots += [a] * ((a - 1) // 2)
+            if a % 2 == 0:
+                slots.append(a // 2)
+            if allow_loops:
+                slots.append(a)
+            for b in cycles[i + 1:]:
+                slots += [math.lcm(a, b)] * math.gcd(a, b)
+        series = [1] + [0] * max_edges
+        for length in slots:
+            for e in range(length, max_edges + 1):
+                series[e] += series[e - length]
+        for e, fixed in enumerate(series):
+            total[e] += weight * fixed
+    assert all(t.denominator == 1 for t in total)
+    return [int(t) for t in total]
+
+
+def connected_counts(counts):
+    """The inverse Euler transform: connected counts c_1..c_n from the
+    counts a_0 = 1, a_1..a_n of all graphs, 1 + sum a_n x^n = prod (1 - x^n)^-c_n."""
+    n = len(counts) - 1
+    moments = [0] * (n + 1)  # sum of d * c_d over the divisors d of k
+    out = [0] * (n + 1)
+    for k in range(1, n + 1):
+        moments[k] = k * counts[k] - sum(moments[j] * counts[k - j] for j in range(1, k))
+        rest = moments[k] - sum(d * out[d] for d in range(1, k) if k % d == 0)
+        assert rest % k == 0
+        out[k] = rest // k
+    return out[1:]
+
+
+def test_count_oracle_matches_published_series_and_pinned_terms():
+    with_loops = connected_counts(multigraph_counts(10, True))
+    assert with_loops == PUBLISHED_CLASS_COUNTS[True] + list(POLYA_CONNECTED_TERMS_9_10)
+    without = PUBLISHED_CLASS_COUNTS[False]
+    assert connected_counts(multigraph_counts(len(without), False)) == without
+
+
+@pytest.mark.parametrize("allow_loops", [True, False])
+def test_count_oracle_matches_disconnected_corpus(allow_loops):
+    # The connected counts are checked against enumeration through the
+    # published series above; these levels count every graph, the empty
+    # one at 0 edges included.
+    counts = [0] * 6
+    for g in enumerate_graphs(CorpusSpec(5, allow_loops=allow_loops, connected_only=False)):
+        counts[len(g.edges)] += 1
+    assert counts == multigraph_counts(5, allow_loops)
+
+
 def test_emitted_graphs_are_canonical_and_sorted():
     graphs = list(enumerate_graphs(CorpusSpec(3)))
     forms = [canonical_form(g) for g in graphs]
@@ -277,13 +363,18 @@ def test_report_bytes_are_pinned_at_six_edges():
 ], ids=["loops", "no-loops"])
 def test_thetas_are_homomorphisms_on_generators(spec):
     # The premise of deciding the sweep on generators: theta(a o s) =
-    # theta(a) theta(s) for every automorphism a and strong generator s.
-    # Disconnected graphs are included, where the two thetas disagree.
+    # theta(a) theta(s) for every automorphism a and generator s, both the
+    # strong generators of Aut(g) and the kernel generators and lifts of
+    # vertex_quotient (each checked once). Disconnected graphs are
+    # included, where the two thetas disagree.
     for g in enumerate_graphs(spec):
         auts = enumerate_automorphisms(g)
+        _, kernel_gens, lifts = vertex_quotient(g)
+        gens = {p: Automorphism(g, p) for p in strong_generators([a.perm for a in auts])}
+        gens.update((s.perm, s) for s in kernel_gens + lifts)
         for theta in (theta_k, theta_s):
             value = {a.perm: theta(g, a) for a in auts}
-            for s in strong_generators(auts):
+            for s in gens.values():
                 for a in auts:
                     product = Automorphism(g, perms.compose(a.perm, s.perm))
                     assert theta(g, product) == value[a.perm] * value[s.perm]
