@@ -166,7 +166,7 @@ def vertex_quotient(
 ) -> tuple[int, list[Automorphism], list[Automorphism]]:
     """(|Aut(g)|, kernel generators, lifts), without listing Aut(g).
 
-    Let M be the vertex multiplicity matrix, loop counts on the diagonal.
+    Let M be ``g.multiplicity``, a loop adding 2 on the diagonal.
     The vertex action maps Aut(g) into Aut(M), the vertex permutations
     that preserve M; its kernel K holds the automorphisms that fix every
     vertex. The map is onto: sigma in Aut(M) lifts to the automorphism
@@ -216,10 +216,10 @@ def vertex_quotient(
         blocks[w].append(h)
     skeleton = validate(len(ends), [(h, h + 1) for h in range(0, len(ends), 2)], blocks)
     at = [block[0] for block in blocks]
-    mult = {key: len(edges) for key, edges in bundles.items()}
+    mult = g.multiplicity
 
     def preserves_mult(sigma: Perm) -> bool:
-        return all(mult[bundle(sigma[u], sigma[v])] == m for (u, v), m in mult.items())
+        return all(mult[sigma[u]][sigma[v]] == mult[u][v] for u, v in bundles)
 
     actions = {tuple(ends[a.perm[h]] for h in at)
                for a in enumerate_automorphisms(skeleton, max_half_edges)}

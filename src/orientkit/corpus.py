@@ -123,19 +123,13 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     only when ``connected_only`` is off (connectedness requires a vertex).
     """
     check_half_edges(2 * spec.max_edges, spec.max_half_edges)
-    empty = Graph(edges=(), vertices=())
-    level = {format_graph(empty).encode("ascii"): empty}
-    seen = {} if spec.connected_only else dict(level)
+    level = {Graph(edges=(), vertices=())}
+    seen = set() if spec.connected_only else set(level)
     for _ in range(spec.max_edges):
-        next_level: dict[bytes, Graph] = {}
-        for g in level.values():
-            for h in _one_edge_more(g, spec):
-                rep = canonical_graph(h, spec.max_half_edges)
-                next_level.setdefault(format_graph(rep).encode("ascii"), rep)
-        seen.update(next_level)
-        level = next_level
-    for key in sorted(seen):
-        yield seen[key]
+        level = {canonical_graph(h, spec.max_half_edges)
+                 for g in level for h in _one_edge_more(g, spec)}
+        seen |= level
+    yield from sorted(seen, key=format_graph)
 
 
 ThetaFn = Callable[[Graph, Automorphism], int]

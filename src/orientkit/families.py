@@ -10,6 +10,15 @@ Normalized integer encodings replace double indexing: every family uses two
 rails a_t = t and b_t = 2**n + t joined by the edges {a_t, b_t}. In family I
 psi(t) = t + 1 on all of Z_{2^(n+1)}, so it carries the a-rail into the
 b-rail; in families II and III psi shifts each rail by one.
+
+The families do not hold every pair (g, psi) on 2**n edges whose psi moves
+the edges in one cycle. Up to isomorphism, conjugation in Aut(g) and odd
+powers of psi, one such pair per n <= 2 is in no family: at n = 0 the
+bridge with psi swapping its ends (theta_k = theta_s = +1), and at n = 1
+and 2 the 2**n disjoint bridges rotated with one flip (theta_k = -1,
+theta_s = +1). ``tests/test_families.py`` checks this against the corpus.
+PAPER.md holds only the paper's opening, so whether the paper leaves these
+pairs out on purpose is still open.
 """
 
 from __future__ import annotations

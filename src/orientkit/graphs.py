@@ -102,9 +102,17 @@ class Graph:
         a, b = self.edges[e]
         return self.vertex_of[a] == self.vertex_of[b]
 
+    @cached_property
+    def multiplicity(self) -> tuple[tuple[int, ...], ...]:
+        """M[u][v]: the edges between vertices u and v; a loop adds 2 on the diagonal."""
+        out = [[0] * len(self.vertices) for _ in self.vertices]
+        for a, b in self.edges:
+            out[self.vertex_of[a]][self.vertex_of[b]] += 1
+            out[self.vertex_of[b]][self.vertex_of[a]] += 1
+        return tuple(map(tuple, out))
+
     def loop_count(self, v: int) -> int:
-        block = set(self.vertices[v])
-        return sum(1 for a, b in self.edges if a in block and b in block)
+        return self.multiplicity[v][v] // 2
 
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         """Partition of vertex ids into components, ordered by minimal id."""
@@ -434,7 +442,7 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
 # --- canonical form -------------------------------------------------------
 
 
-def _least(mult: list[list[int]], twins: list[int], rows: dict[int, tuple[int, ...]]) -> tuple:
+def _least(mult: tuple[tuple[int, ...], ...], twins: list[int], rows: dict[int, tuple]) -> tuple:
     # The least row sequence placing rows' vertices after the prefix; v waits for twins[v].
     if not rows:
         return ()
@@ -456,15 +464,12 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     placed prefix, so both reach the same sequence. The graph is read off the
     sequence, so it is invariant under relabeling: position v's row holds its
     loops at index 1 and its multiplicity to position u < v at index 2 + u,
-    and edges go in lexicographic order of their end positions. Raises
-    ``SizeLimitExceeded`` above the half-edge cap.
+    and edges (h, h + 1) go in lexicographic order of their end positions,
+    so it is built in normal form. Raises ``SizeLimitExceeded`` above the cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     nv = len(g.vertices)
-    mult = [[0] * nv for _ in range(nv)]  # a loop adds 2 on the diagonal
-    for a, b in g.edges:
-        mult[g.vertex_of[a]][g.vertex_of[b]] += 1
-        mult[g.vertex_of[b]][g.vertex_of[a]] += 1
+    mult = g.multiplicity
     # twins[v]: the greatest u < v whose swap with v keeps every multiplicity, else -1
     twins = [max((u for u in range(v) if mult[u][u] == mult[v][v] and all(
         mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v)), default=-1)
@@ -472,8 +477,8 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     seq = _least(mult, twins, {v: (len(g.vertices[v]), mult[v][v] // 2) for v in range(nv)})
     ends = [x for u in range(nv) for v in range(u, nv)  # half-edge h lies at position ends[h]
             for _ in range(seq[u][1] if u == v else seq[v][2 + u]) for x in (u, v)]
-    return validate(len(ends), [(h, h + 1) for h in range(0, len(ends), 2)],
-                    [[h for h, x in enumerate(ends) if x == w] for w in range(nv)])
+    return Graph(edges=tuple((h, h + 1) for h in range(0, len(ends), 2)), vertices=tuple(sorted(
+        tuple(h for h, x in enumerate(ends) if x == w) for w in range(nv))))
 
 
 def canonical_form(g: Graph) -> bytes:

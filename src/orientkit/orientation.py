@@ -77,13 +77,20 @@ def random_arrows(g: Graph, rng) -> Arrows:
     return tuple(pair[rng.randrange(2)] for pair in g.edges)
 
 
+def _check_arrows(g: Graph, arrows: Arrows) -> None:
+    if len(arrows) != len(g.edges) or any(t not in e for t, e in zip(arrows, g.edges)):
+        raise ValueError(f"arrows must hold one half-edge of each edge, by edge id: {arrows!r}")
+
+
 def epsilon_map(g: Graph, arrows: Arrows, a: Automorphism) -> tuple[int, ...]:
     """Arrow-agreement signs by edge id.
 
     For each edge e, the arrow carried over from the preimage edge is
     compared with the arrow already sitting on e: matching tails give +1,
-    opposite tails -1.
+    opposite tails -1. Raises ValueError unless ``arrows`` holds one
+    half-edge of each edge, in edge-id order.
     """
+    _check_arrows(g, arrows)
     eps = [0] * len(g.edges)
     for f in range(len(g.edges)):
         moved_tail = a.perm[arrows[f]]
@@ -114,9 +121,14 @@ def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None =
     lowest half-edge of each component), the one traversal shared with the
     automorphism search, so the default forest is deterministic. Each
     non-tree edge contributes the cycle that follows its arrow tail-to-head
-    and returns through the forest, with entries in {-1, 0, +1}. Raises
-    ValueError unless ``vertex_order`` is None or a permutation of the vertex ids.
+    and returns through the forest, with entries in {-1, 0, +1}. Only that
+    cycle's forest path uses other edges, so row ``nontree[j]`` is the unit
+    vector e_j, ``nontree`` being the ascending ids of the edges outside
+    the forest. Raises ValueError unless ``arrows`` holds one half-edge of
+    each edge, in edge-id order, and unless ``vertex_order`` is None or a
+    permutation of the vertex ids.
     """
+    _check_arrows(g, arrows)
     if vertex_order is not None and sorted(vertex_order) != list(range(len(g.vertices))):
         raise ValueError(f"vertex_order is not a permutation of the vertex ids: {vertex_order!r}")
     ne = len(g.edges)

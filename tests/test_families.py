@@ -1,7 +1,15 @@
+import itertools
+
 import pytest
 
 from orientkit import perms
-from orientkit.automorphisms import Automorphism, as_automorphism, induced_actions
+from orientkit.automorphisms import (
+    Automorphism,
+    as_automorphism,
+    enumerate_automorphisms,
+    induced_actions,
+)
+from orientkit.corpus import CorpusSpec, enumerate_graphs
 from orientkit.families import (
     Family,
     FamilyInstance,
@@ -12,7 +20,7 @@ from orientkit.families import (
     proof_case_values,
     verify_family,
 )
-from orientkit.graphs import is_isomorphic
+from orientkit.graphs import canonical_graph, format_graph, induced_edge_perm, is_isomorphic
 from orientkit.limits import MAX_FAMILY_N, SizeLimitExceeded
 from orientkit.orientation import theta_k, theta_s
 
@@ -244,3 +252,64 @@ def test_instance_counts_by_n():
     assert len(by_n[1]) == 2 + 3 + 3
     assert len(by_n[2]) == 3 + 6 + 6
     assert len(by_n[3]) == 4 + 10 + 10
+
+
+def _pair_classes(n):
+    """(classes, graphs): classes maps each (canon, psi), g a corpus graph with 2**n edges
+    and psi an automorphism whose edge action is one 2**n-cycle, to its class up to
+    conjugation in Aut(g) and odd powers of psi, keyed (canon, least psi in the class);
+    graphs maps canon to g."""
+    classes, graphs = {}, {}
+    for g in enumerate_graphs(CorpusSpec(2**n, connected_only=False)):
+        if len(g.edges) != 2**n:
+            continue
+        canon = format_graph(g)
+        graphs[canon] = g
+        auts = [a.perm for a in enumerate_automorphisms(g)]
+        for psi in auts:
+            if perms.cycle_lengths(induced_edge_perm(g, psi)) != [2**n] or (canon, psi) in classes:
+                continue
+            # psi**(2**n) fixes every edge, so the order of psi divides 2**(n+1).
+            orbit = {perms.compose(perms.compose(a, perms.power(psi, k)), perms.inverse(a))
+                     for a in auts for k in range(1, 2 ** (n + 1), 2)}
+            classes.update(dict.fromkeys(((canon, p) for p in orbit), (canon, min(orbit))))
+    return classes, graphs
+
+
+def _isomorphism(g1, g2):
+    """A half-edge bijection carrying g1 onto g2, by brute force over the maps that carry
+    edges to edges."""
+    vertex_set = {frozenset(block) for block in g2.vertices}
+    for targets in itertools.permutations(g2.edges):
+        for flips in itertools.product((False, True), repeat=len(targets)):
+            img = [0] * g1.half_edge_count
+            for (a, b), (c, d), flip in zip(g1.edges, targets, flips):
+                img[a], img[b] = (d, c) if flip else (c, d)
+            if all(frozenset(img[h] for h in block) in vertex_set for block in g1.vertices):
+                return tuple(img)
+    raise AssertionError("not isomorphic")
+
+
+@pytest.mark.parametrize("n, counts, left_over", [
+    (0, (4, 3, 4, 3), ("halfedges=2; edges=(0 1); vertices={0}{1}", (1, 0), 1, 1)),
+    (1, (9, 8, 5, 5), ("halfedges=4; edges=(0 1)(2 3); vertices={0}{1}{2}{3}", (2, 3, 1, 0), -1, 1)),
+    (2, (16, 15, 7, 7), ("halfedges=8; edges=(0 1)(2 3)(4 5)(6 7); vertices={0}{1}{2}{3}{4}{5}{6}{7}",
+                         (2, 3, 4, 5, 6, 7, 1, 0), -1, 1)),
+])
+def test_families_against_the_corpus(n, counts, left_over):
+    # counts: (pair classes, classes hit by a family, connected classes, connected ones hit);
+    # left_over: the one class no family hits, as (canon, psi, theta_k, theta_s).
+    classes, graphs = _pair_classes(n)
+    hit = set()
+    for inst in family_instances(n):
+        if inst.params.n == n:
+            rep = canonical_graph(inst.graph)
+            f = _isomorphism(inst.graph, rep)
+            hit.add(classes[format_graph(rep),
+                            perms.compose(perms.compose(f, inst.psi.perm), perms.inverse(f))])
+    keys = set(classes.values())
+    connected = {key for key in keys if graphs[key[0]].is_connected()}
+    assert (len(keys), len(hit), len(connected), len(connected & hit)) == counts
+    [(canon, psi)] = keys - hit
+    a = as_automorphism(graphs[canon], psi)
+    assert (canon, psi, theta_k(graphs[canon], a), theta_s(graphs[canon], a)) == left_over

@@ -400,6 +400,23 @@ class TestCanonicalForm:
             assert gr.canonical_graph(rep) == rep
             assert gr.format_graph(rep).encode("ascii") == gr.canonical_form(g)
 
+    def test_built_graphs_are_normalized_with_their_multiplicity(self, relabelled_shapes):
+        # canonical_graph builds its graph without validate, and the corpus keeps those graphs.
+        from orientkit.corpus import CorpusSpec, enumerate_graphs
+
+        graphs = [gr.canonical_graph(g, g.half_edge_count) for g in relabelled_shapes]
+        for spec in (CorpusSpec(5), CorpusSpec(4, connected_only=False),
+                     CorpusSpec(5, allow_loops=False)):
+            graphs += enumerate_graphs(spec)
+        for g in graphs:
+            assert g == gr.validate(g.half_edge_count, g.edges, g.vertices)
+            blocks = [set(block) for block in g.vertices]
+            assert g.multiplicity == tuple(tuple(
+                sum((a in bu and b in bv) + (b in bu and a in bv) for a, b in g.edges)
+                for bv in blocks) for bu in blocks)
+            assert [g.loop_count(v) for v in range(len(blocks))] == [
+                sum(1 for a, b in g.edges if a in block and b in block) for block in blocks]
+
     def test_canonical_forms_are_pinned(self, relabelled_shapes):
         # Pins the labelling itself, so that a faster search must reach the same minimum.
         rng = random.Random(1414)

@@ -9,7 +9,7 @@ import orientkit.orientation
 from orientkit import CorpusSpec, enumerate_graphs, perms
 from orientkit.automorphisms import as_automorphism, enumerate_automorphisms, induced_actions
 from orientkit.cli import cli_main
-from orientkit.graphs import merge_classes, validate
+from orientkit.graphs import merge_classes, spanning_forest, validate
 from orientkit.orientation import (
     SingularBasisError,
     ThetaHom,
@@ -144,6 +144,19 @@ class TestArrowsAndEpsilon:
         ident = as_automorphism(triangle, perms.identity(6))
         assert epsilon_map(triangle, default_arrows(triangle), ident) == (1, 1, 1)
 
+    @pytest.mark.parametrize("arrows", [(1, 1, 1), (0, 2, 0), (0, 2, 4, 1), (0, 2), (0, 2, 99)])
+    def test_malformed_arrows_are_rejected(self, triangle, arrows):
+        # Tails off their edge, too many and too few: otherwise a wrong sign, an
+        # internal-error SingularBasisError, an IndexError or a silent answer.
+        for a in enumerate_automorphisms(triangle):
+            for call in (lambda: theta_k(triangle, a, arrows), lambda: theta_s(triangle, a, arrows),
+                         lambda: epsilon_map(triangle, arrows, a),
+                         lambda: induced_cycle_matrix(triangle, arrows, a)):
+                with pytest.raises(ValueError, match="one half-edge of each edge"):
+                    call()
+        with pytest.raises(ValueError, match="one half-edge of each edge"):
+            cycle_basis(triangle, arrows)
+
 
 class TestThetaS:
     def test_examples(self, loop, triangle, double_edge):
@@ -174,6 +187,25 @@ class TestCycleBasis:
             cycle_basis(triangle, default_arrows(triangle), order)
         with pytest.raises(ValueError, match="not a permutation of the vertex ids"):
             theta_k(triangle, flip, vertex_order=order)
+
+    def test_nontree_rows_are_unit_vectors(self):
+        # Row nontree[j] of the basis is e_j, so cycle coordinates can be read off those rows.
+        rng = random.Random(1717)
+        graphs = [*enumerate_graphs(CorpusSpec(6)),
+                  *enumerate_graphs(CorpusSpec(5, connected_only=False))]
+        cases = 0
+        for g in graphs:
+            shuffled = list(range(len(g.vertices)))
+            rng.shuffle(shuffled)
+            for arrows in (default_arrows(g), random_arrows(g, rng)):
+                for order in (None, tuple(shuffled)):
+                    via = spanning_forest(g, order)[1]
+                    nontree = sorted(set(range(len(g.edges))).difference(via))
+                    basis = cycle_basis(g, arrows, order)
+                    for j, e in enumerate(nontree):
+                        assert basis[e] == tuple(int(i == j) for i in range(len(nontree)))
+                    cases += 1
+        assert cases == 3424
 
     def test_columns_are_cycles_of_full_rank(self, corpus3):
         for g, _ in corpus3:
