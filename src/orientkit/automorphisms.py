@@ -10,9 +10,9 @@ from .graphs import (
     NotAnAutomorphism,
     induced_edge_perm,
     induced_vertex_perm,
+    paired_graph,
     preserves_partitions,
     spanning_forest,
-    validate,
 )
 from .limits import check_half_edges
 from .perms import Perm
@@ -35,7 +35,8 @@ class InducedActions:
 
 
 def is_automorphism(g: Graph, p: Perm) -> bool:
-    """True iff p is a bijection that preserves the edge and vertex partitions blockwise."""
+    """True iff p is a bijection that preserves the edge and vertex partitions blockwise.
+    Raises ValueError for a wrong length, ``NotAnAutomorphism`` for a non-integer image."""
     if len(p) != g.half_edge_count:
         raise ValueError(f"domain mismatch: permutation on {len(p)} points, graph has "
                          f"{g.half_edge_count} half-edges")
@@ -209,13 +210,11 @@ def vertex_quotient(
         bundles.setdefault(bundle(u, v), []).append((a, b) if u <= v else (b, a))
 
     # Skeleton edge i stands for the i-th bundle: half-edge 2i at its u,
-    # 2i + 1 at its v; ends[h] is the vertex of g that half-edge h sits at.
+    # 2i + 1 at its v; ends[h] is the vertex of g that half-edge h sits at,
+    # and at[w] the first skeleton half-edge at w.
     ends = [w for key in bundles for w in key]
-    blocks: list[list[int]] = [[] for _ in range(nv)]
-    for h, w in enumerate(ends):
-        blocks[w].append(h)
-    skeleton = validate(len(ends), [(h, h + 1) for h in range(0, len(ends), 2)], blocks)
-    at = [block[0] for block in blocks]
+    skeleton = paired_graph(ends)
+    at = [ends.index(w) for w in range(nv)]
     mult = g.multiplicity
 
     def preserves_mult(sigma: Perm) -> bool:

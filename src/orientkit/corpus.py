@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 from .automorphisms import Automorphism, enumerate_automorphisms, vertex_quotient
-from .graphs import Graph, canonical_graph, format_graph
+from .graphs import Graph, canonical_graph, format_graph, paired_graph
 from .limits import check_half_edges, half_edge_cap, nonnegative
 from .orientation import fixes_every_vertex, theta_k, theta_s
 
@@ -48,11 +48,14 @@ class CorpusSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One report row, its field names the report's keys and, in order, its CSV columns.
+    v, e and b1 count vertices, edges and independent cycles; aut is |Aut(g)|."""
+
     canon: str
-    vertex_count: int
-    edge_count: int
-    betti: int
-    aut_order: int
+    v: int
+    e: int
+    b1: int
+    aut: int
     orientable_k: bool
     orientable_s: bool
     agree: bool
@@ -74,29 +77,25 @@ class SweepReport:
 
     @property
     def totals(self) -> dict:
-        auts = sum(row.aut_order for row in self.rows)
+        auts = sum(row.aut for row in self.rows)
         return {"graphs": len(self.rows), "automorphisms": auts, "violations": len(self.violations)}
 
 
 def _one_edge_more(g: Graph, spec: CorpusSpec) -> Iterator[Graph]:
     """Every graph made from g by adding one edge with the next two half-edge ids.
 
-    The new edge runs between vertices u <= v, where ids n and n+1 (n the
-    vertex count) stand for new vertices. The new half-edges carry the
-    largest ids, so the result is already normalized.
+    g must be edge-paired, its edges (2i, 2i + 1), as canonical graphs and
+    the empty graph are; so is every result. The new edge runs between
+    vertices u <= v, where ids n and n+1 (n the vertex count) stand for new
+    vertices.
     """
-    a, b = g.half_edge_count, g.half_edge_count + 1
     n = len(g.vertices)
     ends = [(u, v) for u in range(n) for v in range(u, n + 1)]
     if not n or not spec.connected_only:
         ends += [(n, n), (n, n + 1)]
     for u, v in ends:
-        if u == v and not spec.allow_loops:
-            continue
-        blocks = list(g.vertices) + [(), ()]
-        blocks[u] += (a,)
-        blocks[v] += (b,)
-        yield Graph(edges=g.edges + ((a, b),), vertices=tuple(blk for blk in blocks if blk))
+        if u != v or spec.allow_loops:
+            yield paired_graph(g.vertex_of + (u, v))
 
 
 def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
@@ -177,18 +176,9 @@ def sweep_theorem(
             verdict = _decide(g, auts, kernel, theta_k_fn, theta_s_fn)
         orientable_k, orientable_s, disagreements = verdict
         violations += (Violation(canon, a.perm, tk, ts) for a, tk, ts in disagreements)
-        rows.append(
-            SweepRow(
-                canon=canon,
-                vertex_count=len(g.vertices),
-                edge_count=len(g.edges),
-                betti=g.first_betti(),
-                aut_order=order,
-                orientable_k=orientable_k,
-                orientable_s=orientable_s,
-                agree=not disagreements,
-            )
-        )
+        rows.append(SweepRow(canon=canon, v=len(g.vertices), e=len(g.edges), b1=g.first_betti(),
+                             aut=order, orientable_k=orientable_k, orientable_s=orientable_s,
+                             agree=not disagreements))
     return SweepReport(spec, tuple(rows), tuple(violations))
 
 
@@ -213,36 +203,19 @@ def _decide(
             disagreements)
 
 
+def _by_field(obj) -> dict:
+    """A dataclass's values by field name, shallow (``asdict`` deep-copies every value)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def report_to_dict(report: SweepReport) -> dict:
+    """The report as JSON-ready data: each dataclass by its field names, a perm as a list."""
     return {
-        "spec": {
-            "max_edges": report.spec.max_edges,
-            "allow_loops": report.spec.allow_loops,
-            "connected_only": report.spec.connected_only,
-            "max_half_edges": report.spec.max_half_edges,
-        },
-        "rows": [
-            {
-                "canon": r.canon,
-                "v": r.vertex_count,
-                "e": r.edge_count,
-                "b1": r.betti,
-                "aut": r.aut_order,
-                "orientable_k": r.orientable_k,
-                "orientable_s": r.orientable_s,
-                "agree": r.agree,
-            }
-            for r in report.rows
-        ],
-        "violations": [
-            {"canon": v.canon, "perm": list(v.perm), "theta_k": v.theta_k, "theta_s": v.theta_s}
-            for v in report.violations
-        ],
+        "spec": _by_field(report.spec),
+        "rows": [_by_field(row) for row in report.rows],
+        "violations": [_by_field(v) | {"perm": list(v.perm)} for v in report.violations],
         "totals": report.totals,
     }
-
-
-_CSV_COLUMNS = ("canon", "v", "e", "b1", "aut", "orientable_k", "orientable_s", "agree")
 
 
 def render_report(report: SweepReport, fmt: str) -> bytes:
@@ -253,12 +226,10 @@ def render_report(report: SweepReport, fmt: str) -> bytes:
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in report_to_dict(report)["rows"]:
-            writer.writerow(
-                [str(row[col]).lower() if isinstance(row[col], bool) else row[col]
-                 for col in _CSV_COLUMNS]
-            )
+        writer.writerow(field.name for field in fields(SweepRow))
+        for row in report.rows:
+            writer.writerow(str(x).lower() if isinstance(x, bool) else x
+                            for x in _by_field(row).values())
         return out.getvalue().encode("ascii")
     raise ValueError(f"unknown report format {fmt!r}")
 

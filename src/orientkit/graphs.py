@@ -15,14 +15,13 @@ any normalized ``g``.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Hashable, Iterable, Sequence
 
 from . import perms
-from .limits import MAX_DIGITS, check_half_edges
+from .limits import MAX_DIGITS, check_half_edges, integer
 from .perms import Perm
 
 
@@ -63,7 +62,8 @@ class GraphSyntaxError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Normalized half-edge graph. Build via ``validate`` or ``parse_graph``."""
+    """Normalized half-edge graph. Build via ``validate`` or ``parse_graph``, or,
+    for the edge-paired form E = {(2i, 2i + 1)}, via ``paired_graph``."""
 
     edges: tuple[tuple[int, int], ...]
     vertices: tuple[tuple[int, ...], ...]
@@ -183,11 +183,18 @@ def merge_classes(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
 _MAX_IDS_SHOWN = 8
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+def paired_graph(ends: Sequence[Hashable]) -> Graph:
+    """The graph with edges (h, h + 1), h even, whose half-edge h lies at vertex ``ends[h]``.
+
+    The labels in ``ends`` only group the half-edges, into ascending blocks
+    ordered by first id: the normal form. ``ends`` must have even length;
+    outside input goes through ``validate``.
+    """
+    blocks: dict[Hashable, list[int]] = {}
+    for h, w in enumerate(ends):
+        blocks.setdefault(w, []).append(h)  # a block is created at its least id
+    return Graph(edges=tuple((h, h + 1) for h in range(0, len(ends), 2)),
+                 vertices=tuple(map(tuple, blocks.values())))
 
 
 def validate(
@@ -200,9 +207,15 @@ def validate(
     The edge blocks must partition 0..half_edge_count-1 into pairs and the
     vertex blocks into non-empty sets. Raises a ``GraphError`` subclass
     naming the first defect found, and ``GraphError`` itself for a count or
-    id that is not an integer (one ``operator.index`` rejects).
+    id that ``limits.integer`` refuses (a bool included) or a block that is
+    not iterable.
     """
-    count = _integer(half_edge_count, "half-edge count")
+    try:
+        count = integer(half_edge_count)
+        edge_blocks = [tuple(map(integer, raw)) for raw in edges]
+        vertex_blocks = [tuple(map(integer, raw)) for raw in vertices]
+    except TypeError as err:
+        raise GraphError(f"half-edge count and ids: {err}") from None
     if count < 0 or count % 2:
         raise OddHalfEdgeCountError(f"half-edge count must be even and >= 0, got {count}")
 
@@ -221,24 +234,17 @@ def validate(
             more = f" and {len(missing) - len(shown)} more" if len(missing) > len(shown) else ""
             raise CoverageError(f"half-edges {shown}{more} missing from the {kind} partition")
 
-    edge_blocks = []
-    for raw in edges:
-        block = tuple(_integer(h, "half-edge id") for h in raw)
+    for block in edge_blocks:
         if len(block) != 2 or block[0] == block[1]:
             raise BadEdgeArityError(f"edge block must hold two distinct half-edges, got {block}")
-        edge_blocks.append(block)
     # Checked before anything is sized by count, so a huge declared count
     # costs nothing.
     if count != 2 * len(edge_blocks):
         raise CoverageError(f"half-edge count {count} is not twice the edge count {len(edge_blocks)}")
     check_partition(edge_blocks, "edge")
 
-    vertex_blocks = []
-    for raw in vertices:
-        block = tuple(_integer(h, "half-edge id") for h in raw)
-        if not block:
-            raise EmptyVertexError("vertex block is empty")
-        vertex_blocks.append(block)
+    if not all(vertex_blocks):
+        raise EmptyVertexError("vertex block is empty")
     check_partition(vertex_blocks, "vertex")
 
     norm_edges = tuple(sorted((min(a, b), max(a, b)) for a, b in edge_blocks))
@@ -350,9 +356,17 @@ def preserves_partitions(g: Graph, p: Perm) -> bool:
     """True iff p is an automorphism of g.
 
     That is, p is a bijection of the half-edges 0..n-1 that maps edge
-    blocks to edge blocks and vertex blocks to vertex blocks.
+    blocks to edge blocks and vertex blocks to vertex blocks. Raises
+    ``NotAnAutomorphism`` for an image that ``limits.integer`` refuses
+    (a bool included).
     """
-    if sorted(p) != list(range(g.half_edge_count)):
+    try:
+        p = perms.check_perm(p)
+    except TypeError as err:
+        raise NotAnAutomorphism(f"an image {err}") from None
+    except ValueError:
+        return False
+    if len(p) != g.half_edge_count:
         return False
     partner = g.partner
     for h in range(len(p)):
@@ -406,10 +420,15 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
     the re-index map, which keeps the survivors in id order. Under the
     identity this contracts the single edge e: a loop is deleted, a
     non-loop merges its endpoints. Raises ``NotAnAutomorphism`` if phi does
-    not preserve the partitions, and ``GraphError`` if e is out of range.
+    not preserve the partitions, and ``GraphError`` if e is not an integer
+    (a bool included) or is out of range.
     """
     if not preserves_partitions(g, phi):
         raise NotAnAutomorphism("the given permutation is not an automorphism of the graph")
+    try:
+        e = integer(e)
+    except TypeError as err:
+        raise GraphError(f"edge id {err}") from None
     if not 0 <= e < len(g.edges):
         raise GraphError(f"edge id {e} out of range")
     edge_perm = induced_edge_perm(g, phi)
@@ -465,7 +484,7 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     sequence, so it is invariant under relabeling: position v's row holds its
     loops at index 1 and its multiplicity to position u < v at index 2 + u,
     and edges (h, h + 1) go in lexicographic order of their end positions,
-    so it is built in normal form. Raises ``SizeLimitExceeded`` above the cap.
+    so ``paired_graph`` builds it. Raises ``SizeLimitExceeded`` above the cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     nv = len(g.vertices)
@@ -475,10 +494,8 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
         mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v)), default=-1)
         for v in range(nv)]
     seq = _least(mult, twins, {v: (len(g.vertices[v]), mult[v][v] // 2) for v in range(nv)})
-    ends = [x for u in range(nv) for v in range(u, nv)  # half-edge h lies at position ends[h]
-            for _ in range(seq[u][1] if u == v else seq[v][2 + u]) for x in (u, v)]
-    return Graph(edges=tuple((h, h + 1) for h in range(0, len(ends), 2)), vertices=tuple(sorted(
-        tuple(h for h, x in enumerate(ends) if x == w) for w in range(nv))))
+    return paired_graph([x for u in range(nv) for v in range(u, nv)  # half-edge h at ends[h]
+                         for _ in range(seq[u][1] if u == v else seq[v][2 + u]) for x in (u, v)])
 
 
 def canonical_form(g: Graph) -> bytes:

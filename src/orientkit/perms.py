@@ -7,11 +7,10 @@ a graph.
 
 from __future__ import annotations
 
-import operator
 from math import lcm
 from typing import Iterable
 
-from .limits import excerpt, parse_int
+from .limits import excerpt, integer, parse_int
 
 Perm = tuple[int, ...]
 
@@ -26,7 +25,9 @@ def is_perm(images: Iterable[int]) -> bool:
 
 
 def check_perm(images: Iterable[int]) -> Perm:
-    p = tuple(map(operator.index, images))
+    """The images as a Perm, each read by ``limits.integer`` (TypeError, a bool
+    included); ValueError unless they permute 0..k-1."""
+    p = tuple(map(integer, images))
     if not is_perm(p):
         raise ValueError(f"not a permutation of 0..{len(p) - 1}: {excerpt(format_perm(p))}")
     return p

@@ -15,6 +15,7 @@ from orientkit.automorphisms import (
 )
 from orientkit.corpus import CorpusSpec, enumerate_graphs
 from orientkit.graphs import (
+    GraphError,
     NotAnAutomorphism,
     orbit_contraction,
     parse_graph,
@@ -155,6 +156,19 @@ def test_odd_power_normalize_stays_in_group(corpus3):
 def test_as_automorphism_rejects(triangle):
     with pytest.raises(NotAnAutomorphism):
         as_automorphism(triangle, (1, 0, 2, 3, 4, 5))
+
+
+def test_bool_images_are_not_an_automorphism(loop):
+    # True == 1 and False == 0, but an image list of bools is not a permutation.
+    with pytest.raises(NotAnAutomorphism, match="must be an integer, got True"):
+        as_automorphism(loop, (True, False))
+
+
+def test_float_images_are_graph_errors(loop):
+    for check in (is_automorphism, as_automorphism,
+                  lambda g, p: orbit_contraction(g, p, 0)):
+        with pytest.raises(GraphError, match="must be an integer, got 1.0"):
+            check(loop, [1.0, 0.0])
 
 
 def test_automorphism_check_requires_a_bijection():

@@ -347,6 +347,9 @@ def test_report_bytes_are_pinned_with_disconnected_graphs():
     assert hashlib.sha256(render_report(report, "json")).hexdigest() == (
         "c6b5360423e3056e2fea210014fdfd9f3a9ae44ae7ec5b627c853bf645306a96"
     )
+    assert hashlib.sha256(render_report(report, "csv")).hexdigest() == (
+        "67a117226aa067d77375e582e7df73e33dce177a919b4747a5109e23ef521f94"
+    )
 
 
 def test_report_bytes_are_pinned_at_six_edges():
@@ -386,21 +389,23 @@ def literal_sweep(spec):
     return sweep_theorem(spec, lambda g, a: theta_k(g, a), lambda g, a: theta_s(g, a))
 
 
-@pytest.mark.parametrize("spec, digest", [
-    (CorpusSpec(5), "cd0035866740eeffaa95930de03bbb84b42a91ce67a5de1139c3631b7b0dfc86"),
+@pytest.mark.parametrize("spec, digests", [
+    (CorpusSpec(5), {"json": "cd0035866740eeffaa95930de03bbb84b42a91ce67a5de1139c3631b7b0dfc86",
+                     "csv": "fd74591e5e35d46cfa37f5ef7bd5f9a15c91d940d89b277729f5d419e56f57f5"}),
     (CorpusSpec(5, allow_loops=False),
-     "e880eae153b85b1753bea770cb1047d8d3fe69b93749ce44f8552276b9177a8d"),
+     {"json": "e880eae153b85b1753bea770cb1047d8d3fe69b93749ce44f8552276b9177a8d"}),
     (CorpusSpec(6, allow_loops=False),
-     "ed6ec523cf06dc4dd9ba616617674ef125383b7339e23dace820c8c8751599f7"),
+     {"json": "ed6ec523cf06dc4dd9ba616617674ef125383b7339e23dace820c8c8751599f7"}),
     (CorpusSpec(5, connected_only=False),
-     "48af2b2a65291723c1495d1b15394e0e7f4ec85c7002a76e3d013d298d7a8904"),
+     {"json": "48af2b2a65291723c1495d1b15394e0e7f4ec85c7002a76e3d013d298d7a8904"}),
 ], ids=["e5", "e5-no-loops", "e6-no-loops", "e5-disconnected"])
-def test_sweep_on_generators_matches_literal_sweep(spec, digest):
+def test_sweep_on_generators_matches_literal_sweep(spec, digests):
     fast = sweep_theorem(spec)
     literal = literal_sweep(spec)
     for fmt in ("json", "csv"):
         assert render_report(fast, fmt) == render_report(literal, fmt)
-    assert hashlib.sha256(render_report(fast, "json")).hexdigest() == digest
+    for fmt, digest in digests.items():
+        assert hashlib.sha256(render_report(fast, fmt)).hexdigest() == digest
     if not spec.connected_only:
         # Disconnected graphs disagree, so the fallback lists violations.
         assert len(fast.violations) > 1000

@@ -84,6 +84,12 @@ class TestValidate:
             with pytest.raises(gr.GraphError, match="must be an integer"):
                 gr.validate(*args)
 
+    def test_bool_ids_and_counts_are_graph_errors(self):
+        # limits.integer refuses bools, though True == 1 and False == 0.
+        for args in ((2, [(False, True)], [(False, True)]), (False, [], [])):
+            with pytest.raises(gr.GraphError, match="must be an integer, got (False|True)"):
+                gr.validate(*args)
+
     @given(st.integers(0, 4).flatmap(lambda e: st.tuples(
         st.sampled_from([2 * e, 2.0 * e, 2 * e + 0.5]),
         st.lists(st.lists(st.sampled_from([0, 1, 2.0, 1.5, "1"]), min_size=2, max_size=2),
@@ -302,6 +308,10 @@ class TestContraction:
             with pytest.raises(gr.GraphError, match=f"edge id {e} out of range"):
                 gr.orbit_contraction(triangle, tuple(range(6)), e)
 
+    def test_bool_edge_id_is_a_graph_error(self, triangle):
+        with pytest.raises(gr.GraphError, match="edge id must be an integer, got True"):
+            gr.orbit_contraction(triangle, perms.identity(6), True)
+
     def test_orbit_contraction_rejects_non_automorphism(self, triangle):
         with pytest.raises(NotAnAutomorphism):
             gr.orbit_contraction(triangle, (1, 0, 2, 3, 4, 5), 0)
@@ -402,12 +412,15 @@ class TestCanonicalForm:
 
     def test_built_graphs_are_normalized_with_their_multiplicity(self, relabelled_shapes):
         # canonical_graph builds its graph without validate, and the corpus keeps those graphs.
-        from orientkit.corpus import CorpusSpec, enumerate_graphs
+        # _one_edge_more builds its children the same way, from each corpus graph.
+        from orientkit.corpus import CorpusSpec, _one_edge_more, enumerate_graphs
 
         graphs = [gr.canonical_graph(g, g.half_edge_count) for g in relabelled_shapes]
         for spec in (CorpusSpec(5), CorpusSpec(4, connected_only=False),
                      CorpusSpec(5, allow_loops=False)):
             graphs += enumerate_graphs(spec)
+        for spec in (CorpusSpec(4), CorpusSpec(3, connected_only=False)):
+            graphs += (h for g in enumerate_graphs(spec) for h in _one_edge_more(g, spec))
         for g in graphs:
             assert g == gr.validate(g.half_edge_count, g.edges, g.vertices)
             blocks = [set(block) for block in g.vertices]

@@ -113,4 +113,6 @@ def test_parse_perm_takes_ascii_digits_only(text):
 def test_check_perm_rejects_non_integers():
     with pytest.raises(TypeError):
         perms.check_perm([0.0, 1.0])
+    with pytest.raises(TypeError):
+        perms.check_perm([True, False])
     assert perms.check_perm([1, 0]) == (1, 0)
