@@ -36,10 +36,10 @@ class InducedActions:
 
 def is_automorphism(g: Graph, p: Perm) -> bool:
     """True iff p is a bijection that preserves the edge and vertex partitions blockwise.
-    Raises ValueError for a wrong length, ``NotAnAutomorphism`` for a non-integer image."""
+    Raises ``NotAnAutomorphism`` for a wrong length or a non-integer image."""
     if len(p) != g.half_edge_count:
-        raise ValueError(f"domain mismatch: permutation on {len(p)} points, graph has "
-                         f"{g.half_edge_count} half-edges")
+        raise NotAnAutomorphism(f"domain mismatch: permutation on {len(p)} points, graph has "
+                                f"{g.half_edge_count} half-edges")
     return preserves_partitions(g, p)
 
 

@@ -16,12 +16,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .automorphisms import Automorphism, enumerate_automorphisms, vertex_quotient
 from .graphs import Graph, canonical_graph, format_graph, paired_graph
 from .limits import check_half_edges, half_edge_cap, nonnegative
-from .orientation import fixes_every_vertex, theta_k, theta_s
+from .orientation import ThetaFn, Verdict, orientability, theta_k, theta_s
 
 
 class ReportWriteError(RuntimeError):
@@ -131,9 +131,6 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     yield from sorted(seen, key=format_graph)
 
 
-ThetaFn = Callable[[Graph, Automorphism], int]
-
-
 def sweep_theorem(
     spec: CorpusSpec,
     theta_k_fn: ThetaFn = theta_k,
@@ -141,39 +138,33 @@ def sweep_theorem(
 ) -> SweepReport:
     """Decide, for every corpus graph, whether theta_k and theta_s agree on
     Aut(g) and whether each is orientable, and record every automorphism
-    on which they disagree.
+    on which they disagree. Each theta is any ``ThetaFn``.
 
-    A graph is non-orientable under a theta iff theta is -1 on some
-    automorphism that ``fixes_every_vertex``; those form the kernel K of
-    the vertex action. ``vertex_quotient`` gives |Aut(g)| = |K| * |Aut(M)|,
-    M the vertex multiplicity matrix, with closed-form generators of K and
-    lifts of generators of Aut(M), without listing Aut(g). With this
-    module's ``theta_k`` and ``theta_s``, both homomorphisms
-    Aut(g) -> {+1, -1}, a graph is decided on those: the thetas agree on
-    Aut(g) iff they agree on the kernel generators and the lifts, and each
-    is orientable iff it is +1 on the kernel generators. Nothing here
+    Each graph is decided by one ``orientability`` call per theta, both on
+    one list: by default the kernel generators and lifts of
+    ``vertex_quotient``, which generate Aut(g) without listing it. This
+    module's ``theta_k`` and ``theta_s`` are homomorphisms
+    Aut(g) -> {+1, -1}, so they agree on Aut(g) iff they agree on those,
+    and each verdict on them is the verdict on Aut(g). Nothing here
     assumes that the two thetas agree, and the Euler-characteristic
     identity, which would make them agree by construction, is not used.
 
     A graph whose generators disagree is decided again on every
-    automorphism, listed by ``enumerate_automorphisms``, and the whole
-    kernel, so its violations are listed in full. Injected thetas are
-    always decided that way: they need not be homomorphisms (tests doctor
-    a sign convention and confirm that the sweep detects it).
+    automorphism, listed once by ``enumerate_automorphisms``, so its
+    violations are listed in full. Injected thetas are always decided
+    that way: they need not be homomorphisms (tests doctor a sign
+    convention and confirm that the sweep detects it).
     """
     on_generators = theta_k_fn is theta_k and theta_s_fn is theta_s
+    thetas = (theta_k_fn, theta_s_fn)
     rows = []
     violations: list[Violation] = []
     for g in enumerate_graphs(spec):
         canon = format_graph(g)
         order, kernel_gens, lifts = vertex_quotient(g, spec.max_half_edges)
-        verdict = None
-        if on_generators:
-            verdict = _decide(g, kernel_gens + lifts, kernel_gens, theta_k_fn, theta_s_fn)
+        verdict = _decide(g, kernel_gens + lifts, thetas) if on_generators else None
         if verdict is None or verdict[2]:  # a generator disagrees: list every violation
-            auts = enumerate_automorphisms(g, spec.max_half_edges)
-            kernel = [a for a in auts if fixes_every_vertex(g, a)]
-            verdict = _decide(g, auts, kernel, theta_k_fn, theta_s_fn)
+            verdict = _decide(g, enumerate_automorphisms(g, spec.max_half_edges), thetas)
         orientable_k, orientable_s, disagreements = verdict
         violations += (Violation(canon, a.perm, tk, ts) for a, tk, ts in disagreements)
         rows.append(SweepRow(canon=canon, v=len(g.vertices), e=len(g.edges), b1=g.first_betti(),
@@ -183,24 +174,15 @@ def sweep_theorem(
 
 
 def _decide(
-    g: Graph,
-    tested: list[Automorphism],
-    kernel: list[Automorphism],
-    theta_k_fn: ThetaFn,
-    theta_s_fn: ThetaFn,
+    g: Graph, auts: list[Automorphism], thetas: tuple[ThetaFn, ThetaFn]
 ) -> tuple[bool, bool, list[tuple[Automorphism, int, int]]]:
-    """(orientable_k, orientable_s, disagreements): whether each theta is +1
-    on all of ``kernel``, and (a, theta_k, theta_s) for each a in ``tested``,
-    in order, on which the two differ. Each element's thetas are evaluated once."""
-    values = {a.perm: (theta_k_fn(g, a), theta_s_fn(g, a)) for a in kernel}
-    disagreements = []
-    for a in tested:
-        tk, ts = values.get(a.perm) or (theta_k_fn(g, a), theta_s_fn(g, a))
-        if tk != ts:
-            disagreements.append((a, tk, ts))
-    kernel_values = values.values()
-    return (all(tk == 1 for tk, _ in kernel_values), all(ts == 1 for _, ts in kernel_values),
-            disagreements)
+    """(orientable_k, orientable_s, disagreements): the ``orientability`` of
+    g on ``auts`` under theta_k and theta_s, and (a, theta_k, theta_s) for
+    each a in ``auts``, in order, on which the two differ."""
+    k, s = (orientability(g, theta, auts) for theta in thetas)
+    disagreements = [(a, tk, ts) for (a, tk), (_, ts)
+                     in zip(k.per_automorphism_theta, s.per_automorphism_theta) if tk != ts]
+    return k.verdict is Verdict.ORIENTABLE, s.verdict is Verdict.ORIENTABLE, disagreements
 
 
 def _by_field(obj) -> dict:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import itemgetter
+from typing import Callable
 
 from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
 from .graphs import Graph, induced_edge_perm, induced_vertex_perm, spanning_forest
@@ -34,6 +35,7 @@ from .perms import Perm
 
 Arrows = tuple[int, ...]  # tails by edge id; the arrow on e runs tail -> partner
 IntMatrix = tuple[tuple[int, ...], ...]
+ThetaFn = Callable[[Graph, Automorphism], int]
 
 
 class SingularBasisError(RuntimeError):
@@ -41,13 +43,14 @@ class SingularBasisError(RuntimeError):
 
 
 class ThetaHom(Enum):
-    """Selector for one of the supported orientation homomorphisms."""
+    """One of the supported orientation homomorphisms; each member is a ``ThetaFn``."""
 
     KONTSEVICH = "k"
     SHOIKHET = "s"
     VERTEX_PARITY = "parity"
 
-    def evaluate(self, g: Graph, a: Automorphism) -> int:
+    def __call__(self, g: Graph, a: Automorphism) -> int:
+        # Read as module globals on every call, so patching theta_k and the rest takes effect.
         if self is ThetaHom.KONTSEVICH:
             return theta_k(g, a)
         if self is ThetaHom.SHOIKHET:
@@ -62,7 +65,6 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class OrientationReport:
-    theta: ThetaHom
     verdict: Verdict
     witness: Automorphism | None
     per_automorphism_theta: tuple[tuple[Automorphism, int], ...]
@@ -266,22 +268,29 @@ def fixes_every_vertex(g: Graph, a: Automorphism) -> bool:
     return induced_vertex_perm(g, a.perm) == perms.identity(len(g.vertices))
 
 
-def orientability(g: Graph, theta: ThetaHom) -> OrientationReport:
-    """Fast orientability verdict for the chosen homomorphism.
+def orientability(
+    g: Graph, theta: ThetaFn, auts: list[Automorphism] | None = None
+) -> OrientationReport:
+    """Orientability verdict for ``theta``, evaluated once on each of ``auts``
+    (default: Aut(g), from ``enumerate_automorphisms``).
 
-    The witness is the first automorphism, in enumeration order, that
-    ``fixes_every_vertex`` and has theta -1. ``or_orbits_bruteforce`` is
-    the independent slow oracle.
+    g is non-orientable iff theta is -1 on some automorphism that
+    ``fixes_every_vertex``; the witness is the first such element of
+    ``auts``. For a homomorphism theta, generators of the kernel of the
+    vertex action plus any automorphisms that move a vertex, such as the
+    ``vertex_quotient`` lists, give the verdict on Aut(g).
+    ``or_orbits_bruteforce`` is the independent slow oracle.
     """
-    auts = enumerate_automorphisms(g)
-    values = tuple((a, theta.evaluate(g, a)) for a in auts)
+    if auts is None:
+        auts = enumerate_automorphisms(g)
+    values = tuple((a, theta(g, a)) for a in auts)
     witness = next((a for a, value in values if value == -1 and fixes_every_vertex(g, a)), None)
     verdict = Verdict.NON_ORIENTABLE if witness is not None else Verdict.ORIENTABLE
-    return OrientationReport(theta, verdict, witness, values)
+    return OrientationReport(verdict, witness, values)
 
 
 def or_orbits_bruteforce(
-    g: Graph, theta: ThetaHom
+    g: Graph, theta: ThetaFn
 ) -> tuple[int, bool, tuple[tuple[tuple[Perm, int], ...], ...]]:
     """Orbits of (vertex enumeration, sign) pairs under the twisted action.
 
@@ -291,7 +300,7 @@ def or_orbits_bruteforce(
     orbit count, whether the global sign flip acts freely on orbits, and
     the orbits themselves, each sorted, ordered by their first pair in
     (tau in ``itertools.permutations`` order, then eps = +1 before -1).
-    This is the slow oracle for ``orientability``.
+    This is the slow oracle for ``orientability``; theta is any ``ThetaFn``.
 
     Theta is evaluated on every automorphism; the list is then reduced to
     its distinct (inverse vertex action, theta value) pairs, which act on
@@ -308,7 +317,7 @@ def or_orbits_bruteforce(
         raise SizeLimitExceeded(f"brute-force orbit search limited to 8 vertices, got {nv}")
     auts = enumerate_automorphisms(g)
     actions = dict.fromkeys(
-        (perms.inverse(induced_actions(g, a).vertex_perm), theta.evaluate(g, a)) for a in auts
+        (perms.inverse(induced_actions(g, a).vertex_perm), theta(g, a)) for a in auts
     )
     # Relabeling tau along sigma sends sigma[v] to tau[v], so w to
     # tau[sigma^-1(w)]. itemgetter returns a bare item for one index, but

@@ -69,7 +69,7 @@ def test_criterion_2_loop_graphs_non_orientable(corpus5):
                 and report.witness is not None
                 and induced_actions(g, report.witness).vertex_perm
                 == perms.identity(len(g.vertices))
-                and theta.evaluate(g, report.witness) == -1
+                and theta(g, report.witness) == -1
             )
             ok = ok and witness_ok
     _check(
@@ -120,7 +120,7 @@ def test_criterion_5_homomorphism_and_odd_power_laws(corpus5):
     graphs = [(g, auts) for g, auts in corpus5 if len(g.edges) <= 4]
     for g, auts in graphs:
         for theta in ThetaHom:
-            table = {a.perm: theta.evaluate(g, a) for a in auts}
+            table = {a.perm: theta(g, a) for a in auts}
             for p, value_p in table.items():
                 for q, value_q in table.items():
                     ok = ok and table[perms.compose(p, q)] == value_p * value_q

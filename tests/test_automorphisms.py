@@ -171,6 +171,12 @@ def test_float_images_are_graph_errors(loop):
             check(loop, [1.0, 0.0])
 
 
+def test_wrong_length_images_are_graph_errors(loop):
+    for check in (is_automorphism, as_automorphism):
+        with pytest.raises(GraphError, match="domain mismatch: permutation on 3 points"):
+            check(loop, (0, 1, 2))
+
+
 def test_automorphism_check_requires_a_bijection():
     # (0, 1, 0, 1) is not a permutation, yet it sends every edge block into
     # an edge block and every vertex block into a vertex block.

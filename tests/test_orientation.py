@@ -7,7 +7,12 @@ import pytest
 
 import orientkit.orientation
 from orientkit import CorpusSpec, enumerate_graphs, perms
-from orientkit.automorphisms import as_automorphism, enumerate_automorphisms, induced_actions
+from orientkit.automorphisms import (
+    as_automorphism,
+    enumerate_automorphisms,
+    induced_actions,
+    vertex_quotient,
+)
 from orientkit.cli import cli_main
 from orientkit.graphs import merge_classes, spanning_forest, validate
 from orientkit.orientation import (
@@ -66,7 +71,7 @@ def or_orbits_union_find(g, theta):
     to its image under every automorphism, |Aut| * 2 * |V|! links in all."""
     nv = len(g.vertices)
     actions = [
-        (perms.inverse(induced_actions(g, a).vertex_perm), theta.evaluate(g, a))
+        (perms.inverse(induced_actions(g, a).vertex_perm), theta(g, a))
         for a in enumerate_automorphisms(g)
     ]
     taus = list(itertools.permutations(range(1, nv + 1)))
@@ -338,7 +343,7 @@ def test_theta_parity_examples(triangle):
 def test_homomorphism_laws(corpus3):
     for g, auts in corpus3:
         for theta in ThetaHom:
-            table = {a.perm: theta.evaluate(g, a) for a in auts}
+            table = {a.perm: theta(g, a) for a in auts}
             for a in auts:
                 for b in auts:
                     combined = perms.compose(a.perm, b.perm)
@@ -374,7 +379,7 @@ class TestOrientability:
             for theta in ThetaHom:
                 expected = next(
                     (a for a in enumerate_automorphisms(g)
-                     if theta.evaluate(g, a) == -1
+                     if theta(g, a) == -1
                      and induced_actions(g, a).vertex_perm == identity),
                     None)
                 report = orientability(g, theta)
@@ -383,6 +388,25 @@ class TestOrientability:
                     Verdict.ORIENTABLE if expected is None else Verdict.NON_ORIENTABLE)
                 witnesses += expected is not None
         assert witnesses > 100
+
+    @pytest.mark.parametrize("spec", [CorpusSpec(5), CorpusSpec(4, connected_only=False)],
+                             ids=["e5", "e4-disconnected"])
+    def test_generators_give_the_verdict_on_the_group(self, spec):
+        # The sweep decides on vertex_quotient's kernel generators and
+        # lifts; every homomorphism, VERTEX_PARITY included, must give
+        # the verdict there that it gives on the whole group. A plain
+        # function is a theta as much as a ThetaHom member is.
+        verdicts = set()
+        for g in enumerate_graphs(spec):
+            _, kernel_gens, lifts = vertex_quotient(g)
+            on_group = {theta: orientability(g, theta) for theta in ThetaHom}
+            for theta, report in on_group.items():
+                assert orientability(g, theta, kernel_gens + lifts).verdict is report.verdict
+                verdicts.add((theta, report.verdict))
+            plain = orientability(g, lambda g, a: theta_k(g, a))
+            assert (plain.per_automorphism_theta
+                    == on_group[ThetaHom.KONTSEVICH].per_automorphism_theta)
+        assert {v for theta, v in verdicts if theta is ThetaHom.KONTSEVICH} == set(Verdict)
 
 
 class TestOrOrbits:
