@@ -34,10 +34,8 @@ from .graphs import (
     Graph,
     GraphError,
     OrbitContraction,
-    canonical_form,
     canonical_graph,
     format_graph,
-    is_isomorphic,
     orbit_contraction,
     parse_graph,
     validate,

@@ -5,15 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perms
-from .graphs import (
-    Graph,
-    NotAnAutomorphism,
-    induced_edge_perm,
-    induced_vertex_perm,
-    paired_graph,
-    preserves_partitions,
-    spanning_forest,
-)
+from .graphs import Graph, NotAnAutomorphism, is_automorphism, paired_graph, spanning_forest
 from .limits import check_half_edges
 from .perms import Perm
 
@@ -32,15 +24,6 @@ class InducedActions:
 
     edge_perm: Perm
     vertex_perm: Perm
-
-
-def is_automorphism(g: Graph, p: Perm) -> bool:
-    """True iff p is a bijection that preserves the edge and vertex partitions blockwise.
-    Raises ``NotAnAutomorphism`` for a wrong length or a non-integer image."""
-    if len(p) != g.half_edge_count:
-        raise NotAnAutomorphism(f"domain mismatch: permutation on {len(p)} points, graph has "
-                                f"{g.half_edge_count} half-edges")
-    return preserves_partitions(g, p)
 
 
 def as_automorphism(g: Graph, p: Perm) -> Automorphism:
@@ -127,10 +110,12 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
 
 
 def induced_actions(g: Graph, a: Automorphism) -> InducedActions:
-    """The permutations of edge ids and vertex ids induced by ``a``."""
+    """The permutations of edge ids and vertex ids induced by ``a``, each read
+    off the image of the block's first half-edge."""
+    p = a.perm
     return InducedActions(
-        edge_perm=induced_edge_perm(g, a.perm),
-        vertex_perm=induced_vertex_perm(g, a.perm),
+        edge_perm=tuple(g.edge_of[p[h]] for h, _ in g.edges),
+        vertex_perm=tuple(g.vertex_of[p[block[0]]] for block in g.vertices),
     )
 
 

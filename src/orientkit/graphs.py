@@ -349,24 +349,25 @@ def format_graph(g: Graph) -> str:
     return f"halfedges={g.half_edge_count}; edges={edges}; vertices={vertices}"
 
 
-# --- induced actions (shared partition plumbing) --------------------------
+# --- automorphisms --------------------------------------------------------
 
 
-def preserves_partitions(g: Graph, p: Perm) -> bool:
+def is_automorphism(g: Graph, p: Perm) -> bool:
     """True iff p is an automorphism of g.
 
     That is, p is a bijection of the half-edges 0..n-1 that maps edge
     blocks to edge blocks and vertex blocks to vertex blocks. Raises
-    ``NotAnAutomorphism`` for an image that ``limits.integer`` refuses
-    (a bool included).
+    ``NotAnAutomorphism`` for a wrong length or for an image that
+    ``limits.integer`` refuses (a bool included).
     """
+    if len(p) != g.half_edge_count:
+        raise NotAnAutomorphism(f"domain mismatch: permutation on {len(p)} points, graph has "
+                                f"{g.half_edge_count} half-edges")
     try:
         p = perms.check_perm(p)
     except TypeError as err:
         raise NotAnAutomorphism(f"an image {err}") from None
     except ValueError:
-        return False
-    if len(p) != g.half_edge_count:
         return False
     partner = g.partner
     for h in range(len(p)):
@@ -380,15 +381,6 @@ def preserves_partitions(g: Graph, p: Perm) -> bool:
         if any(vertex_of[p[h]] != w for h in block[1:]):
             return False
     return True
-
-
-def induced_edge_perm(g: Graph, p: Perm) -> Perm:
-    """Edge permutation induced by an automorphism's half-edge permutation."""
-    return tuple(g.edge_of[p[a]] for a, _ in g.edges)
-
-
-def induced_vertex_perm(g: Graph, p: Perm) -> Perm:
-    return tuple(g.vertex_of[p[block[0]]] for block in g.vertices)
 
 
 # --- contraction ----------------------------------------------------------
@@ -419,11 +411,11 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
     dropped, and the automorphism induced on the survivors is returned with
     the re-index map, which keeps the survivors in id order. Under the
     identity this contracts the single edge e: a loop is deleted, a
-    non-loop merges its endpoints. Raises ``NotAnAutomorphism`` if phi does
-    not preserve the partitions, and ``GraphError`` if e is not an integer
-    (a bool included) or is out of range.
+    non-loop merges its endpoints. Raises ``NotAnAutomorphism`` if phi is
+    not an automorphism, and ``GraphError`` if e is not an integer (a bool
+    included) or is out of range.
     """
-    if not preserves_partitions(g, phi):
+    if not is_automorphism(g, phi):
         raise NotAnAutomorphism("the given permutation is not an automorphism of the graph")
     try:
         e = integer(e)
@@ -431,11 +423,10 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
         raise GraphError(f"edge id {err}") from None
     if not 0 <= e < len(g.edges):
         raise GraphError(f"edge id {e} out of range")
-    edge_perm = induced_edge_perm(g, phi)
+    vertex_of, edge_of = g.vertex_of, g.edge_of
     orbit = [e]
-    while (f := edge_perm[orbit[-1]]) != e:
+    while (f := edge_of[phi[g.edges[orbit[-1]][0]]]) != e:
         orbit.append(f)
-    vertex_of = g.vertex_of
     root = merge_classes(
         len(g.vertices), ((vertex_of[a], vertex_of[b]) for a, b in (g.edges[f] for f in orbit))
     )
@@ -450,10 +441,9 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
     )
 
     # phi permutes the merge classes; record its parity on the ones that die.
-    sigma = induced_vertex_perm(g, phi)
     dropped = [r for r, r_root in enumerate(root) if r == r_root and r not in blocks]
     index = {r: i for i, r in enumerate(dropped)}
-    dropped_perm = tuple(index[root[sigma[r]]] for r in dropped)
+    dropped_perm = tuple(index[root[vertex_of[phi[g.vertices[r][0]]]]] for r in dropped)
     induced = tuple(remap[phi[h]] for h in survivors)
     return OrbitContraction(contracted, induced, remap, perms.sign(dropped_perm))
 
@@ -496,12 +486,3 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     seq = _least(mult, twins, {v: (len(g.vertices[v]), mult[v][v] // 2) for v in range(nv)})
     return paired_graph([x for u in range(nv) for v in range(u, nv)  # half-edge h at ends[h]
                          for _ in range(seq[u][1] if u == v else seq[v][2 + u]) for x in (u, v)])
-
-
-def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: equal iff the graphs are isomorphic."""
-    return format_graph(canonical_graph(g)).encode("ascii")
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return canonical_form(g1) == canonical_form(g2)

@@ -28,8 +28,8 @@ from operator import itemgetter
 from typing import Callable
 
 from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
-from .graphs import Graph, induced_edge_perm, induced_vertex_perm, spanning_forest
-from .limits import SizeLimitExceeded
+from .graphs import Graph, spanning_forest
+from .limits import SizeLimitExceeded, integer
 from . import perms
 from .perms import Perm
 
@@ -79,34 +79,45 @@ def random_arrows(g: Graph, rng) -> Arrows:
     return tuple(pair[rng.randrange(2)] for pair in g.edges)
 
 
-def _check_arrows(g: Graph, arrows: Arrows) -> None:
-    if len(arrows) != len(g.edges) or any(t not in e for t, e in zip(arrows, g.edges)):
+def _check_choices(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None = None) -> None:
+    """ValueError unless ``arrows`` holds one half-edge of each edge, by edge id, and
+    ``vertex_order`` is None or a permutation of the vertex ids, each id being an
+    integer by ``limits.integer`` (so neither a float nor a bool)."""
+    try:
+        tails = [integer(t) for t in arrows]
+        order = None if vertex_order is None else sorted(integer(v) for v in vertex_order)
+    except TypeError as err:
+        raise ValueError(f"arrows and vertex_order hold integer ids: {err}") from None
+    if len(tails) != len(g.edges) or any(t not in e for t, e in zip(tails, g.edges)):
         raise ValueError(f"arrows must hold one half-edge of each edge, by edge id: {arrows!r}")
+    if order is not None and order != list(range(len(g.vertices))):
+        raise ValueError(f"vertex_order is not a permutation of the vertex ids: {vertex_order!r}")
+
+
+def _arrow_signs(arrows: Arrows, perm: Perm, pi: Perm) -> list[int]:
+    # By edge id: the arrow on edge f moves onto edge pi[f], pi being perm's
+    # edge action, and meets the arrow there: matching tails +1, opposite -1.
+    eps = [0] * len(pi)
+    for f, e in enumerate(pi):
+        eps[e] = 1 if perm[arrows[f]] == arrows[e] else -1
+    return eps
 
 
 def epsilon_map(g: Graph, arrows: Arrows, a: Automorphism) -> tuple[int, ...]:
-    """Arrow-agreement signs by edge id.
-
-    For each edge e, the arrow carried over from the preimage edge is
-    compared with the arrow already sitting on e: matching tails give +1,
-    opposite tails -1. Raises ValueError unless ``arrows`` holds one
-    half-edge of each edge, in edge-id order.
-    """
-    _check_arrows(g, arrows)
-    eps = [0] * len(g.edges)
-    for f in range(len(g.edges)):
-        moved_tail = a.perm[arrows[f]]
-        e = g.edge_of[moved_tail]
-        eps[e] = 1 if moved_tail == arrows[e] else -1
-    return tuple(eps)
+    """Arrow-agreement signs by edge id: the arrow carried over from the preimage
+    edge against the arrow already there. Raises ValueError unless ``arrows``
+    holds one half-edge of each edge, in edge-id order."""
+    _check_choices(g, arrows)
+    return tuple(_arrow_signs(arrows, a.perm, induced_actions(g, a).edge_perm))
 
 
 def theta_s(g: Graph, a: Automorphism, arrows: Arrows | None = None) -> int:
     """Shoikhet homomorphism: sign(vertex action) * product of epsilon signs."""
     if arrows is None:
         arrows = default_arrows(g)
+    _check_choices(g, arrows)
     acts = induced_actions(g, a)
-    return perms.sign(acts.vertex_perm) * prod(epsilon_map(g, arrows, a))
+    return perms.sign(acts.vertex_perm) * prod(_arrow_signs(arrows, a.perm, acts.edge_perm))
 
 
 def theta_parity(g: Graph, a: Automorphism) -> int:
@@ -128,11 +139,9 @@ def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None =
     vector e_j, ``nontree`` being the ascending ids of the edges outside
     the forest. Raises ValueError unless ``arrows`` holds one half-edge of
     each edge, in edge-id order, and unless ``vertex_order`` is None or a
-    permutation of the vertex ids.
+    permutation of the vertex ids; ids are read by ``limits.integer``.
     """
-    _check_arrows(g, arrows)
-    if vertex_order is not None and sorted(vertex_order) != list(range(len(g.vertices))):
-        raise ValueError(f"vertex_order is not a permutation of the vertex ids: {vertex_order!r}")
+    _check_choices(g, arrows, vertex_order)
     ne = len(g.edges)
     vertex_of, partner = g.vertex_of, g.partner
     via = spanning_forest(g, vertex_order)[1]
@@ -192,6 +201,23 @@ def _solve_exact(basis: IntMatrix, image: IntMatrix, k: int) -> IntMatrix:
     return tuple(out)
 
 
+def _cycle_action(g: Graph, arrows: Arrows, perm: Perm, pi: Perm, vertex_order) -> IntMatrix:
+    # perm's matrix on the cycle space, pi its edge action; checked here,
+    # since a cycle_basis cache hit skips the check there.
+    _check_choices(g, arrows, vertex_order)
+    basis = cycle_basis(g, arrows, vertex_order)
+    k = len(basis[0]) if basis else 0
+    if k == 0:
+        return ()
+    # The edge action is a signed permutation: edge f moves onto pi[f], with
+    # the arrow-agreement sign there, so each basis row moves as a whole.
+    eps = _arrow_signs(arrows, perm, pi)
+    image: list[tuple[int, ...]] = [()] * len(g.edges)
+    for f, row in enumerate(basis):
+        image[pi[f]] = tuple(eps[pi[f]] * x for x in row)
+    return _solve_exact(basis, tuple(image), k)
+
+
 def induced_cycle_matrix(
     g: Graph,
     arrows: Arrows,
@@ -200,18 +226,7 @@ def induced_cycle_matrix(
 ) -> IntMatrix:
     """Matrix of the automorphism's action on the cycle space, in the
     fundamental-cycle basis. Always integral with determinant +-1."""
-    basis = cycle_basis(g, arrows, vertex_order)
-    k = len(basis[0]) if basis else 0
-    if k == 0:
-        return ()
-    # The edge action is a signed permutation: edge f moves onto pi[f], with
-    # the arrow-agreement sign there, so each basis row moves as a whole.
-    pi = induced_edge_perm(g, a.perm)
-    eps = epsilon_map(g, arrows, a)
-    image: list[tuple[int, ...]] = [()] * len(g.edges)
-    for f, row in enumerate(basis):
-        image[pi[f]] = tuple(eps[pi[f]] * x for x in row)
-    return _solve_exact(basis, tuple(image), k)
+    return _cycle_action(g, arrows, a.perm, induced_actions(g, a).edge_perm, vertex_order)
 
 
 def det_sign(matrix) -> int:
@@ -253,8 +268,8 @@ def theta_k(
     """Kontsevich homomorphism: sign(edge action) * sign(det of cycle action)."""
     if arrows is None:
         arrows = default_arrows(g)
-    pi = induced_edge_perm(g, a.perm)
-    return perms.sign(pi) * det_sign(induced_cycle_matrix(g, arrows, a, vertex_order))
+    pi = induced_actions(g, a).edge_perm
+    return perms.sign(pi) * det_sign(_cycle_action(g, arrows, a.perm, pi, vertex_order))
 
 
 # --- orientability --------------------------------------------------------
@@ -263,9 +278,10 @@ def theta_k(
 def fixes_every_vertex(g: Graph, a: Automorphism) -> bool:
     """True iff ``a`` is in the kernel of the vertex action. A graph is
     non-orientable under a theta iff theta is -1 on some such automorphism.
-    An automorphism maps each vertex block onto a whole block, so the
-    induced vertex permutation decides it."""
-    return induced_vertex_perm(g, a.perm) == perms.identity(len(g.vertices))
+    An automorphism maps each vertex block onto a whole block, so each
+    block's first half-edge decides it, up to the first moved vertex."""
+    p, vertex_of = a.perm, g.vertex_of
+    return all(vertex_of[p[block[0]]] == v for v, block in enumerate(g.vertices))
 
 
 def orientability(

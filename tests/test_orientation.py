@@ -23,6 +23,7 @@ from orientkit.orientation import (
     default_arrows,
     det_sign,
     epsilon_map,
+    fixes_every_vertex,
     induced_cycle_matrix,
     or_orbits_bruteforce,
     orientability,
@@ -161,6 +162,23 @@ class TestArrowsAndEpsilon:
                     call()
         with pytest.raises(ValueError, match="one half-edge of each edge"):
             cycle_basis(triangle, arrows)
+
+    def test_ids_that_are_not_integers_are_rejected(self, double_edge):
+        # 0.0 == 0 and True == 1, but neither is an id: otherwise a TypeError from
+        # indexing, or a sign computed from bools. Checked before the cycle_basis cache.
+        g = double_edge
+        a = as_automorphism(g, (1, 0, 3, 2))
+        for arrows in ((0.0, 2.0), (False, 2)):
+            for call in (lambda: theta_k(g, a, arrows), lambda: theta_s(g, a, arrows),
+                         lambda: epsilon_map(g, arrows, a),
+                         lambda: induced_cycle_matrix(g, arrows, a)):
+                with pytest.raises(ValueError, match="integer ids"):
+                    call()
+        for order in ((1.0, 0.0), (True, False)):
+            with pytest.raises(ValueError, match="integer ids"):
+                theta_k(g, a, vertex_order=order)
+            with pytest.raises(ValueError, match="integer ids"):
+                induced_cycle_matrix(g, default_arrows(g), a, order)
 
 
 class TestThetaS:
@@ -338,6 +356,31 @@ def test_theta_parity_examples(triangle):
     assert theta_parity(k4, transposition) == -1
     assert theta_parity(k4, as_automorphism(k4, perms.identity(12))) == 1
     assert theta_parity(triangle, as_automorphism(triangle, (2, 3, 4, 5, 0, 1))) == 1
+
+
+def test_each_evaluation_reads_the_induced_actions_once(corpus3, monkeypatch):
+    # Every sign reads the automorphism's edge and vertex actions from one
+    # induced_actions call; the kernel test stops at the first moved vertex.
+    calls = []
+    real = orientkit.orientation.induced_actions
+
+    def counting(g, a):
+        calls.append(a)
+        return real(g, a)
+
+    monkeypatch.setattr(orientkit.orientation, "induced_actions", counting)
+    for g, auts in corpus3:
+        arrows = default_arrows(g)
+        for a in auts:
+            for evaluate in (lambda: theta_k(g, a), lambda: theta_s(g, a),
+                             lambda: theta_parity(g, a), lambda: induced_cycle_matrix(g, arrows, a),
+                             lambda: epsilon_map(g, arrows, a)):
+                calls.clear()
+                evaluate()
+                assert calls == [a]
+            calls.clear()
+            fixes_every_vertex(g, a)
+            assert calls == []
 
 
 def test_homomorphism_laws(corpus3):
