@@ -151,7 +151,10 @@ def _cmd_orient(args) -> int:
             line += f" witness={perms.format_perm(report.witness.perm)}"
         print(line)
         if args.bruteforce:
-            count, z2_free, _ = or_orbits_bruteforce(g, theta)
+            # The oracle lists Aut(g) itself but reads theta from the report; a
+            # perm missing there is an internal bug, so its KeyError is not caught.
+            values = {a.perm: value for a, value in report.per_automorphism_theta}
+            count, z2_free, _ = or_orbits_bruteforce(g, lambda g, a: values[a.perm])
             print(f"orbits={count} z2_free={'true' if z2_free else 'false'}")
     return 0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 from operator import itemgetter
 from typing import Callable
 
@@ -125,7 +125,6 @@ def theta_parity(g: Graph, a: Automorphism) -> int:
     return perms.sign(induced_actions(g, a).vertex_perm)
 
 
-@lru_cache(maxsize=1024)
 def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None = None) -> IntMatrix:
     """Fundamental-cycle matrix: |E| rows, one column per non-tree edge.
 
@@ -140,8 +139,15 @@ def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None =
     the forest. Raises ValueError unless ``arrows`` holds one half-edge of
     each edge, in edge-id order, and unless ``vertex_order`` is None or a
     permutation of the vertex ids; ids are read by ``limits.integer``.
+    The check runs ahead of the cache, where ``(False, 2) == (0, 2)`` would
+    hit; ``cache_info`` and ``cache_clear`` are the cache's own.
     """
     _check_choices(g, arrows, vertex_order)
+    return _cached_cycle_basis(g, arrows, vertex_order)
+
+
+@lru_cache(maxsize=1024)
+def _cached_cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None) -> IntMatrix:
     ne = len(g.edges)
     vertex_of, partner = g.vertex_of, g.partner
     via = spanning_forest(g, vertex_order)[1]
@@ -164,6 +170,10 @@ def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None =
         add_path(col, vertex_of[t], -1)
         columns.append(col)
     return tuple(tuple(columns[j][i] for j in range(len(columns))) for i in range(ne))
+
+
+cycle_basis.cache_info = _cached_cycle_basis.cache_info
+cycle_basis.cache_clear = _cached_cycle_basis.cache_clear
 
 
 def _solve_exact(basis: IntMatrix, image: IntMatrix, k: int) -> IntMatrix:
@@ -202,9 +212,8 @@ def _solve_exact(basis: IntMatrix, image: IntMatrix, k: int) -> IntMatrix:
 
 
 def _cycle_action(g: Graph, arrows: Arrows, perm: Perm, pi: Perm, vertex_order) -> IntMatrix:
-    # perm's matrix on the cycle space, pi its edge action; checked here,
-    # since a cycle_basis cache hit skips the check there.
-    _check_choices(g, arrows, vertex_order)
+    # perm's matrix on the cycle space, pi its edge action; cycle_basis
+    # checks arrows and vertex_order.
     basis = cycle_basis(g, arrows, vertex_order)
     k = len(basis[0]) if basis else 0
     if k == 0:
@@ -318,15 +327,19 @@ def or_orbits_bruteforce(
     (tau in ``itertools.permutations`` order, then eps = +1 before -1).
     This is the slow oracle for ``orientability``; theta is any ``ThetaFn``.
 
-    Theta is evaluated on every automorphism; the list is then reduced to
-    its distinct (inverse vertex action, theta value) pairs, which act on
+    Theta is evaluated once on every automorphism; the list is then reduced
+    to its distinct (inverse vertex action, theta value) pairs, which act on
     (tau, eps) exactly as the whole group does. Each orbit is the set of
-    images of its first pair under those actions, so the cost is the
-    number of orbits times the number of distinct actions. Nothing about
-    which automorphisms glue signs is assumed. Raises ``RuntimeError`` if
-    the images of a first pair miss that pair or meet an earlier orbit,
-    which guards against a broken enumeration; this is not a full check
-    that the actions are closed under composition.
+    images of its first pair under those actions. The flip commutes with
+    every action, so orbits come in flip pairs: the images of (tau, -1) are
+    those of (tau, +1), flipped. So only pairs (tau, +1) are moved, and an
+    orbit that does not hold (tau, -1) is followed by its flip, read off it
+    rather than built again: |V|! images and |V|! flipped pairs when the
+    flip acts freely, 2 * |V|! images when it does not. Nothing about which
+    automorphisms glue signs is assumed. Raises ``RuntimeError`` if the
+    images of a first pair miss that pair, or if the orbits overlap or
+    leave a pair out, which guards against a broken enumeration; this is
+    not a full check that the actions are closed under composition.
     """
     nv = len(g.vertices)
     if nv > 8:
@@ -344,16 +357,24 @@ def or_orbits_bruteforce(
     orbits: list[tuple[tuple[Perm, int], ...]] = []
     z2_free = True
     for tau in itertools.permutations(range(1, nv + 1)):
-        for eps in (1, -1):
-            if (tau, eps) in seen:
-                continue
-            orbit = {(move(tau), value * eps) for move, value in movers}
-            if (tau, eps) not in orbit or not seen.isdisjoint(orbit):
-                raise RuntimeError("automorphism actions do not form a group")
+        if (tau, 1) in seen:
+            continue
+        orbit = {(move(tau), value) for move, value in movers}
+        if (tau, 1) not in orbit:
+            raise RuntimeError("automorphism actions do not form a group")
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+        # Orbits partition the pairs and the flip maps orbits to orbits,
+        # so it fixes this orbit iff the orbit holds (tau, -1).
+        if (tau, -1) in orbit:
+            z2_free = False
+        else:
+            # The orbit of (tau, -1), next in order: these images, flipped.
+            orbit = {(t, -e) for t, e in orbit}
             seen |= orbit
-            # Orbits partition the pairs and the flip maps orbits to orbits,
-            # so it fixes this orbit iff the orbit holds the flipped first pair.
-            if (tau, -eps) in orbit:
-                z2_free = False
             orbits.append(tuple(sorted(orbit)))
+    # A group's orbits partition the pairs; a broken enumeration may give
+    # orbits that overlap or that leave a pair out.
+    if sum(map(len, orbits)) != len(seen) or len(seen) != 2 * factorial(nv):
+        raise RuntimeError("automorphism actions do not form a group")
     return len(orbits), z2_free, tuple(orbits)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib
 import json
@@ -7,7 +8,9 @@ import pytest
 
 import orientkit.cli
 import orientkit.orientation
+from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, format_graph
 from orientkit.cli import cli_main
+from orientkit.orientation import ThetaHom, or_orbits_bruteforce
 
 
 @pytest.fixture
@@ -102,6 +105,32 @@ def test_orient_bruteforce_runs_oracle_once_per_graph(tmp_path, monkeypatch, cap
     assert cli_main(["orient", str(path), "--bruteforce"]) == 0
     assert len(calls) == 2
     assert capsys.readouterr().out.count("z2_free=") == 2
+
+
+@pytest.mark.parametrize("flag, name", [("k", "theta_k"), ("s", "theta_s"),
+                                        ("parity", "theta_parity")])
+def test_orient_bruteforce_evaluates_theta_once_per_automorphism(
+        tmp_path, monkeypatch, capsys, flag, name):
+    # The oracle reads the values the verdict computed, and prints what it
+    # prints when it evaluates theta itself.
+    graphs = list(enumerate_graphs(CorpusSpec(3, connected_only=False)))
+    path = tmp_path / "corpus.graph"
+    path.write_text("".join(format_graph(g) + "\n" for g in graphs))
+    expected = []
+    for g in graphs:
+        count, z2_free, _ = or_orbits_bruteforce(g, ThetaHom(flag))
+        expected.append(f"orbits={count} z2_free={'true' if z2_free else 'false'}")
+    calls = collections.Counter()
+    real = getattr(orientkit.orientation, name)
+
+    def counting(g, a):
+        calls[g] += 1
+        return real(g, a)
+
+    monkeypatch.setattr(orientkit.orientation, name, counting)
+    assert cli_main(["orient", str(path), "--theta", flag, "--bruteforce"]) == 0
+    assert dict(calls) == {g: len(enumerate_automorphisms(g)) for g in graphs}
+    assert capsys.readouterr().out.splitlines()[1::2] == expected
 
 
 def test_contract_edge(triangle_file, capsys):

@@ -292,15 +292,19 @@ def test_sweep_small_corpus_has_no_violations():
 
 
 def test_sweep_rows_flag_loops_as_non_orientable():
-    report = sweep_theorem(CorpusSpec(3))
-    loopy = 0
-    for row in report.rows:
-        g = parse_graph(row.canon)
-        if any(g.is_loop(e) for e in range(len(g.edges))):
-            loopy += 1
-            assert not row.orientable_k
-            assert not row.orientable_s
-    assert loopy > 0
+    # Loop flips and swaps of parallel edges or of loops at one vertex generate
+    # the kernel of the vertex action; both thetas are -1 on a flip and +1 on a
+    # swap. So both verdicts read "no loop", and only the agree column carries
+    # the theorem.
+    for spec, rows in ((CorpusSpec(5), 142), (CorpusSpec(4, connected_only=False), 112)):
+        report = sweep_theorem(spec)
+        assert len(report.rows) == rows
+        loopless = []
+        for row in report.rows:
+            g = parse_graph(row.canon)
+            loopless.append(not any(g.is_loop(e) for e in range(len(g.edges))))
+            assert row.orientable_k == row.orientable_s == loopless[-1]
+        assert set(loopless) == {True, False}
 
 
 @pytest.mark.parametrize("allow_loops", [True, False])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -201,6 +202,21 @@ class TestCycleBasis:
         assert cycle_basis(loop, default_arrows(loop)) == ((1,),)
         assert cycle_basis(triangle, default_arrows(triangle)) == ((1,), (1,), (1,))
         assert cycle_basis(double_edge, default_arrows(double_edge)) == ((-1,), (1,))
+
+    def test_ids_are_checked_on_a_cache_hit(self, double_edge):
+        # (False, 2) == (0, 2) and hashes alike, so it finds the cached basis
+        # of (0, 2); the check must come before that lookup.
+        basis = cycle_basis(double_edge, (0, 2))
+        hits = cycle_basis.cache_info().hits
+        assert cycle_basis(double_edge, (0, 2)) == basis
+        assert cycle_basis.cache_info().hits == hits + 1
+        for arrows in ((False, 2), (0.0, 2)):
+            with pytest.raises(ValueError, match="integer ids"):
+                cycle_basis(double_edge, arrows)
+        for order in ((True, False), (1.0, 0.0)):
+            cycle_basis(double_edge, (0, 2), (1, 0))
+            with pytest.raises(ValueError, match="integer ids"):
+                cycle_basis(double_edge, (0, 2), order)
 
     @pytest.mark.parametrize("order", [(), (0, 0), (7,)])
     def test_vertex_order_must_be_a_permutation(self, triangle, order):
@@ -494,6 +510,17 @@ class TestOrOrbits:
             for theta in ThetaHom:
                 assert or_orbits_bruteforce(g, theta) == or_orbits_union_find(g, theta)
 
+    def test_pinned_on_the_benchmark_shapes(self, relabelled_shapes):
+        # The orient-oracle shapes, 5-7 vertices each, under three relabellings:
+        # larger than the union-find oracle is run on, so their whole output
+        # is pinned instead, one repr per graph and theta.
+        graphs = [g for g in relabelled_shapes if len(g.vertices) >= 5]
+        assert len(graphs) == 99
+        text = "".join(repr(or_orbits_bruteforce(g, theta)) + "\n"
+                       for g in graphs for theta in ThetaHom)
+        assert (hashlib.sha256(text.encode("ascii")).hexdigest()
+                == "4032cce017874f6e58cc9b54d48c5e0833a8394223bb0086890c2ce07e5590f2")
+
     @pytest.mark.parametrize("dropped", range(6))
     def test_actions_that_are_not_a_group_raise(self, triangle, monkeypatch, tmp_path, dropped):
         def without_one(g, max_half_edges=None):
@@ -507,6 +534,19 @@ class TestOrOrbits:
         path.write_text("halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}\n")
         with pytest.raises(RuntimeError, match="do not form a group"):
             cli_main(["orient", str(path), "--bruteforce"])
+
+    def test_actions_that_leave_a_pair_in_no_orbit_raise(self, monkeypatch):
+        # An edge and a loop, without the automorphism that swaps the edge's
+        # ends and flips the loop. The first orbit then holds its first pair's
+        # flip but not every member's, so a (tau, -1) whose (tau, +1) is in it
+        # falls in no orbit; only the closing count catches that.
+        g = validate(4, [(0, 1), (2, 3)], [(0,), (1,), (2, 3)])
+        auts = enumerate_automorphisms(g)
+        assert auts[3].perm == (1, 0, 3, 2)
+        monkeypatch.setattr(orientkit.orientation, "enumerate_automorphisms",
+                            lambda g: auts[:3])
+        with pytest.raises(RuntimeError, match="do not form a group"):
+            or_orbits_bruteforce(g, ThetaHom.KONTSEVICH)
 
     def test_size_guard(self):
         from orientkit.limits import SizeLimitExceeded
