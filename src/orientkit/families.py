@@ -200,7 +200,7 @@ def proof_case_values(n: int) -> ProofCaseValues:
     acts = induced_actions(g, inst.psi)
     return ProofCaseValues(
         sign_pi=perms.sign(acts.edge_perm),
-        det_sign_a=det_sign(induced_cycle_matrix(g, arrows, inst.psi)),
+        det_sign_a=det_sign(induced_cycle_matrix(g, inst.psi)),
         eps_product=prod(epsilon_map(g, arrows, inst.psi)),
         sigma_ratio=perms.sign(acts.vertex_perm),
     )

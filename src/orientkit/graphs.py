@@ -132,19 +132,20 @@ class Graph:
         return len(self.connected_components()) == 1
 
 
-def spanning_forest(g: Graph, roots: Iterable[int] | None = None) -> tuple[list[int], list[int]]:
+def spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
     """The BFS spanning forest: (order, via), the vertices in visiting order
-    and, by vertex, the edge to its parent (-1 at a root or where no root reaches).
+    and, by vertex, the edge to its parent (-1 at a root).
 
-    Components are entered at ``roots`` in order (default: ascending vertex
-    ids). Each vertex's edges are scanned in edge-id order, loops skipped.
+    Components are entered in ascending vertex id, so each is rooted at its
+    lowest vertex. Each vertex's edges are scanned in edge-id order, loops
+    skipped.
     """
     vertex_of, edge_of, partner = g.vertex_of, g.edge_of, g.partner
     order: list[int] = []
     via = [-1] * len(g.vertices)
     seen = [False] * len(g.vertices)
     head = 0  # order doubles as the queue; order[head:] is still to be scanned
-    for root in range(len(g.vertices)) if roots is None else roots:
+    for root in range(len(g.vertices)):
         if not seen[root]:
             seen[root] = True
             order.append(root)

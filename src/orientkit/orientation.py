@@ -9,10 +9,12 @@ Three homomorphisms are provided:
 * vertex parity: sign of the induced vertex permutation alone.
 
 All linear algebra is exact (Python integers and fractions); floating
-point is never used, since a sign is the entire answer. Theta values are
-computed with the default arrow arrangement and the default spanning
-forest; independence from both choices is a tested property, not a
-recomputation.
+point is never used, since a sign is the entire answer. theta_k and its
+cycle basis depend on the graph alone: the basis uses the default arrows
+and the default spanning forest, and their choice does not change the
+sign. The tests check that on relabelled copies, since a relabelling can
+put any vertex at the root and flip any arrow. Only theta_s and
+``epsilon_map`` take an arrow arrangement.
 """
 
 from __future__ import annotations
@@ -79,19 +81,15 @@ def random_arrows(g: Graph, rng) -> Arrows:
     return tuple(pair[rng.randrange(2)] for pair in g.edges)
 
 
-def _check_choices(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None = None) -> None:
-    """ValueError unless ``arrows`` holds one half-edge of each edge, by edge id, and
-    ``vertex_order`` is None or a permutation of the vertex ids, each id being an
-    integer by ``limits.integer`` (so neither a float nor a bool)."""
+def _check_arrows(g: Graph, arrows: Arrows) -> None:
+    """ValueError unless ``arrows`` holds one half-edge of each edge, by edge id,
+    each an integer by ``limits.integer`` (so neither a float nor a bool)."""
     try:
         tails = [integer(t) for t in arrows]
-        order = None if vertex_order is None else sorted(integer(v) for v in vertex_order)
     except TypeError as err:
-        raise ValueError(f"arrows and vertex_order hold integer ids: {err}") from None
+        raise ValueError(f"arrows hold integer ids: {err}") from None
     if len(tails) != len(g.edges) or any(t not in e for t, e in zip(tails, g.edges)):
         raise ValueError(f"arrows must hold one half-edge of each edge, by edge id: {arrows!r}")
-    if order is not None and order != list(range(len(g.vertices))):
-        raise ValueError(f"vertex_order is not a permutation of the vertex ids: {vertex_order!r}")
 
 
 def _arrow_signs(arrows: Arrows, perm: Perm, pi: Perm) -> list[int]:
@@ -107,7 +105,7 @@ def epsilon_map(g: Graph, arrows: Arrows, a: Automorphism) -> tuple[int, ...]:
     """Arrow-agreement signs by edge id: the arrow carried over from the preimage
     edge against the arrow already there. Raises ValueError unless ``arrows``
     holds one half-edge of each edge, in edge-id order."""
-    _check_choices(g, arrows)
+    _check_arrows(g, arrows)
     return tuple(_arrow_signs(arrows, a.perm, induced_actions(g, a).edge_perm))
 
 
@@ -115,7 +113,7 @@ def theta_s(g: Graph, a: Automorphism, arrows: Arrows | None = None) -> int:
     """Shoikhet homomorphism: sign(vertex action) * product of epsilon signs."""
     if arrows is None:
         arrows = default_arrows(g)
-    _check_choices(g, arrows)
+    _check_arrows(g, arrows)
     acts = induced_actions(g, a)
     return perms.sign(acts.vertex_perm) * prod(_arrow_signs(arrows, a.perm, acts.edge_perm))
 
@@ -125,32 +123,25 @@ def theta_parity(g: Graph, a: Automorphism) -> int:
     return perms.sign(induced_actions(g, a).vertex_perm)
 
 
-def cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None = None) -> IntMatrix:
+@lru_cache(maxsize=1024)
+def cycle_basis(g: Graph) -> IntMatrix:
     """Fundamental-cycle matrix: |E| rows, one column per non-tree edge.
 
-    The forest is ``graphs.spanning_forest`` rooted in ``vertex_order``
-    (default: ascending vertex id, i.e. rooted at the vertex holding the
-    lowest half-edge of each component), the one traversal shared with the
-    automorphism search, so the default forest is deterministic. Each
-    non-tree edge contributes the cycle that follows its arrow tail-to-head
-    and returns through the forest, with entries in {-1, 0, +1}. Only that
-    cycle's forest path uses other edges, so row ``nontree[j]`` is the unit
-    vector e_j, ``nontree`` being the ascending ids of the edges outside
-    the forest. Raises ValueError unless ``arrows`` holds one half-edge of
-    each edge, in edge-id order, and unless ``vertex_order`` is None or a
-    permutation of the vertex ids; ids are read by ``limits.integer``.
-    The check runs ahead of the cache, where ``(False, 2) == (0, 2)`` would
-    hit; ``cache_info`` and ``cache_clear`` are the cache's own.
+    The arrows are ``default_arrows(g)`` and the forest is
+    ``graphs.spanning_forest(g)``, rooted at the lowest vertex id of each
+    component: the one traversal shared with the automorphism search. So
+    the basis is a function of the graph, cached on it. Each non-tree edge
+    contributes the cycle that follows its arrow tail-to-head and returns
+    through the forest, with entries in {-1, 0, +1}. Only that cycle's
+    forest path uses other edges, so row ``nontree[j]`` is the unit vector
+    e_j, ``nontree`` being the ascending ids of the edges outside the
+    forest. Other arrows or another root give another basis but the same
+    theta_k; the tests check that on relabelled copies of the graph.
     """
-    _check_choices(g, arrows, vertex_order)
-    return _cached_cycle_basis(g, arrows, vertex_order)
-
-
-@lru_cache(maxsize=1024)
-def _cached_cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] | None) -> IntMatrix:
     ne = len(g.edges)
     vertex_of, partner = g.vertex_of, g.partner
-    via = spanning_forest(g, vertex_order)[1]
+    arrows = default_arrows(g)
+    via = spanning_forest(g)[1]
 
     def add_path(col: list[int], v: int, sign_up: int) -> None:
         # Walk v up to its root; sign_up applies to steps taken child->parent.
@@ -170,10 +161,6 @@ def _cached_cycle_basis(g: Graph, arrows: Arrows, vertex_order: tuple[int, ...] 
         add_path(col, vertex_of[t], -1)
         columns.append(col)
     return tuple(tuple(columns[j][i] for j in range(len(columns))) for i in range(ne))
-
-
-cycle_basis.cache_info = _cached_cycle_basis.cache_info
-cycle_basis.cache_clear = _cached_cycle_basis.cache_clear
 
 
 def _solve_exact(basis: IntMatrix, image: IntMatrix, k: int) -> IntMatrix:
@@ -211,31 +198,25 @@ def _solve_exact(basis: IntMatrix, image: IntMatrix, k: int) -> IntMatrix:
     return tuple(out)
 
 
-def _cycle_action(g: Graph, arrows: Arrows, perm: Perm, pi: Perm, vertex_order) -> IntMatrix:
-    # perm's matrix on the cycle space, pi its edge action; cycle_basis
-    # checks arrows and vertex_order.
-    basis = cycle_basis(g, arrows, vertex_order)
+def _cycle_action(g: Graph, perm: Perm, pi: Perm) -> IntMatrix:
+    # perm's matrix on the cycle space, pi its edge action.
+    basis = cycle_basis(g)
     k = len(basis[0]) if basis else 0
     if k == 0:
         return ()
     # The edge action is a signed permutation: edge f moves onto pi[f], with
     # the arrow-agreement sign there, so each basis row moves as a whole.
-    eps = _arrow_signs(arrows, perm, pi)
+    eps = _arrow_signs(default_arrows(g), perm, pi)
     image: list[tuple[int, ...]] = [()] * len(g.edges)
     for f, row in enumerate(basis):
         image[pi[f]] = tuple(eps[pi[f]] * x for x in row)
     return _solve_exact(basis, tuple(image), k)
 
 
-def induced_cycle_matrix(
-    g: Graph,
-    arrows: Arrows,
-    a: Automorphism,
-    vertex_order: tuple[int, ...] | None = None,
-) -> IntMatrix:
+def induced_cycle_matrix(g: Graph, a: Automorphism) -> IntMatrix:
     """Matrix of the automorphism's action on the cycle space, in the
-    fundamental-cycle basis. Always integral with determinant +-1."""
-    return _cycle_action(g, arrows, a.perm, induced_actions(g, a).edge_perm, vertex_order)
+    basis ``cycle_basis(g)``. Always integral with determinant +-1."""
+    return _cycle_action(g, a.perm, induced_actions(g, a).edge_perm)
 
 
 def det_sign(matrix) -> int:
@@ -268,17 +249,11 @@ def det_sign(matrix) -> int:
     return swaps * (0 if d == 0 else (1 if d > 0 else -1))
 
 
-def theta_k(
-    g: Graph,
-    a: Automorphism,
-    arrows: Arrows | None = None,
-    vertex_order: tuple[int, ...] | None = None,
-) -> int:
-    """Kontsevich homomorphism: sign(edge action) * sign(det of cycle action)."""
-    if arrows is None:
-        arrows = default_arrows(g)
+def theta_k(g: Graph, a: Automorphism) -> int:
+    """Kontsevich homomorphism: sign(edge action) * sign(det of cycle action),
+    the latter in the basis ``cycle_basis(g)``."""
     pi = induced_actions(g, a).edge_perm
-    return perms.sign(pi) * det_sign(_cycle_action(g, arrows, a.perm, pi, vertex_order))
+    return perms.sign(pi) * det_sign(_cycle_action(g, a.perm, pi))
 
 
 # --- orientability --------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, parse_graph, validate
+from orientkit.automorphisms import as_automorphism
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -54,6 +55,29 @@ def relabel(g, images):
     edges = [(images[a], images[b]) for a, b in g.edges]
     blocks = [[images[h] for h in block] for block in g.vertices]
     return validate(g.half_edge_count, edges, blocks)
+
+
+def conjugate(perm, images):
+    """A permutation of g's half-edges moved onto ``relabel(g, images)``:
+    images[h] goes to images[perm[h]]."""
+    out = [0] * len(perm)
+    for h, x in enumerate(perm):
+        out[images[h]] = images[x]
+    return tuple(out)
+
+
+def relabelled_copy(g, auts, images):
+    """``relabel(g, images)`` with each of ``auts`` conjugated onto it. The
+    copy's default arrows and spanning forest are other choices on g: a
+    relabelling can put any vertex at the root and flip any arrow."""
+    h = relabel(g, images)
+    return h, [as_automorphism(h, conjugate(a.perm, images)) for a in auts]
+
+
+def random_images(n, rng):
+    images = list(range(n))
+    rng.shuffle(images)
+    return images
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from orientkit.orientation import (
     theta_s,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, random_images, relabelled_copy
 from test_orientation import det_bruteforce, signed_edge_matrix
 
 SEED = 20260810
@@ -92,25 +92,23 @@ def test_criterion_3_simplex_skeletons(monkeypatch):
 
 
 def test_criterion_4_arrangement_and_forest_invariance(corpus5):
+    # theta_k takes no choice: a relabelled copy, with each automorphism
+    # conjugated onto it, has other default arrows and another forest root.
     rng = random.Random(SEED)
     ok = True
     graphs = [(g, auts) for g, auts in corpus5 if len(g.edges) <= 4]
     for g, auts in graphs:
-        nv = len(g.vertices)
         arrangements = [random_arrows(g, rng) for _ in range(100)]
-        orders = []
-        for _ in range(100):
-            order = list(range(nv))
-            rng.shuffle(order)
-            orders.append(tuple(order))
         for a in auts:
             ref_s = theta_s(g, a)
-            ref_k = theta_k(g, a)
             ok = ok and all(theta_s(g, a, arrows) == ref_s for arrows in arrangements)
-            ok = ok and all(theta_k(g, a, vertex_order=o) == ref_k for o in orders)
+        ref_k = [theta_k(g, a) for a in auts]
+        for _ in range(100):
+            h, moved = relabelled_copy(g, auts, random_images(g.half_edge_count, rng))
+            ok = ok and [theta_k(h, b) for b in moved] == ref_k
     _check(
         "4 theta_s constant over 100 random arrow arrangements and theta_k "
-        f"constant over 100 random forest root orders, |E| <= 4 ({len(graphs)} graphs)",
+        f"constant over 100 random relabellings, |E| <= 4 ({len(graphs)} graphs)",
         ok,
     )
 
@@ -208,11 +206,11 @@ def test_criterion_10_mutation_sensitivity():
 
     def theta_k_pi_flipped(g, a):
         pi = induced_actions(g, a).edge_perm
-        return -perms.sign(pi) * det_sign(induced_cycle_matrix(g, default_arrows(g), a))
+        return -perms.sign(pi) * det_sign(induced_cycle_matrix(g, a))
 
     def theta_k_det_flipped(g, a):
         pi = induced_actions(g, a).edge_perm
-        return perms.sign(pi) * -det_sign(induced_cycle_matrix(g, default_arrows(g), a))
+        return perms.sign(pi) * -det_sign(induced_cycle_matrix(g, a))
 
     spec = CorpusSpec(3)
     mutants = [

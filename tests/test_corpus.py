@@ -263,6 +263,107 @@ def test_count_oracle_matches_disconnected_corpus(allow_loops):
     assert counts == multigraph_counts(5, allow_loops)
 
 
+# Connected classes on which theta_s is +1 on all of Aut(g), per edge count
+# 1..7, from the signed count below; the sweep side is checked against them.
+# The terms at 8..10 are pinned for sweeps that tier-1 does not run.
+SIGNED_CONNECTED_COUNTS = [1, 0, 3, 5, 15, 53, 169]
+SIGNED_CONNECTED_TERMS_8_10 = [610, 2353, 9397]
+
+
+def _times_power(series, v, e, k, odd):
+    """``series[v][e]``, the coefficients of y^v x^e, times (1 + t)^k if
+    ``odd``, else (1 - t)^-k, with t = y^v x^e; truncated to its own degrees."""
+    rows, cols = len(series), len(series[0])
+    out = [row[:] for row in series]
+    for j in range(1, min((rows - 1) // v, (cols - 1) // e) + 1):
+        coeff = math.comb(k, j) if odd else math.comb(k + j - 1, j)
+        for vv in range(j * v, rows):
+            for ee in range(j * e, cols):
+                out[vv][ee] += coeff * series[vv - j * v][ee - j * e]
+    return out
+
+
+def signed_connected_counts(max_edges):
+    """Oracle for the sweep's agreement column, without enumeration and
+    without theta_k: the number of connected loopless classes with e edges,
+    e = 1..max_edges, on which theta_s is +1 on every automorphism.
+
+    A loop flip fixes every vertex and theta_s is -1 on it, so loops drop
+    out. On v labelled vertices, sum over cycle types of sigma in S_v the
+    weight sign(sigma) / z, times a factor per orbit of vertex pairs: an
+    orbit of length L whose pairs come back as they were gives
+    1 / (1 - x^L); one that sigma^L reverses, the l / 2 opposite pairs of a
+    cycle of even length l, gives 1 / (1 + x^L), since each of its m
+    parallel edges comes back reversed and theta_s picks up (-1)^m. That
+    is S_v, the classes on exactly v vertices, isolated ones allowed. Two
+    isolated vertices swap with theta_s -1, so O_v = S_v - O_(v-1) counts
+    the classes without isolated vertices. Swapping two identical
+    components on c vertices has theta_s (-1)^c, so
+    sum O_v y^v x^e = prod over odd v of (1 + y^v x^e)^c(v, e) times
+    prod over even v of (1 - y^v x^e)^-c(v, e), solved level by level for
+    the connected counts c(v, e). Willwacher & Zivkovic count graph complex
+    bases this way (Adv. Math. 2015)."""
+    n = max_edges
+    nv = n + 1  # a connected graph with n edges has at most n + 1 vertices
+    classes = []  # O_v as a series in x
+    for v in range(nv + 1):
+        total = [Fraction(0)] * (n + 1)
+        for cycles in cycle_types(v):
+            weight = Fraction((-1) ** (v - len(cycles)))
+            for k in set(cycles):
+                m = cycles.count(k)
+                weight /= k ** m * math.factorial(m)
+            plain, reversing = [], []
+            for i, a in enumerate(cycles):
+                plain += [a] * ((a - 1) // 2)
+                if a % 2 == 0:
+                    reversing.append(a // 2)
+                for b in cycles[i + 1:]:
+                    plain += [math.lcm(a, b)] * math.gcd(a, b)
+            series = [1] + [0] * n
+            for length in plain:
+                for e in range(length, n + 1):
+                    series[e] += series[e - length]
+            for length in reversing:
+                for e in range(length, n + 1):
+                    series[e] -= series[e - length]
+            for e, fixed in enumerate(series):
+                total[e] += weight * fixed
+        assert all(t.denominator == 1 for t in total)
+        counts = [int(t) for t in total]  # S_v
+        if classes:
+            counts = [c - below for c, below in zip(counts, classes[-1])]
+        classes.append(counts)
+    # Every component has an edge, so the product's terms at level e come from
+    # c(v, e) alone, plus products of components with fewer edges.
+    product = [[int(v == e == 0) for e in range(n + 1)] for v in range(nv + 1)]
+    out = []
+    for e in range(1, n + 1):
+        level = [classes[v][e] - product[v][e] for v in range(nv + 1)]
+        assert min(level) >= 0
+        for v, count in enumerate(level):
+            if count:
+                product = _times_power(product, v, e, count, v % 2 == 1)
+        out.append(sum(level))
+    return out
+
+
+def test_signed_count_oracle_matches_the_sweep():
+    # The sweep side: classes of CorpusSpec(7) on which theta_k, and
+    # separately theta_s, is +1 on generators of Aut(g). Loops count there too,
+    # and drop out by themselves.
+    assert signed_connected_counts(10) == SIGNED_CONNECTED_COUNTS + SIGNED_CONNECTED_TERMS_8_10
+    k_side = [0] * len(SIGNED_CONNECTED_COUNTS)
+    s_side = [0] * len(SIGNED_CONNECTED_COUNTS)
+    for g in enumerate_graphs(CorpusSpec(len(SIGNED_CONNECTED_COUNTS))):
+        _, kernel_gens, lifts = vertex_quotient(g)
+        gens = kernel_gens + lifts
+        k_side[len(g.edges) - 1] += all(theta_k(g, a) == 1 for a in gens)
+        s_side[len(g.edges) - 1] += all(theta_s(g, a) == 1 for a in gens)
+    assert k_side == SIGNED_CONNECTED_COUNTS
+    assert s_side == SIGNED_CONNECTED_COUNTS
+
+
 def test_emitted_graphs_are_canonical_and_sorted():
     graphs = list(enumerate_graphs(CorpusSpec(3)))
     forms = [format_graph(canonical_graph(g)).encode("ascii") for g in graphs]

@@ -28,13 +28,19 @@ from orientkit.orientation import (
     induced_cycle_matrix,
     or_orbits_bruteforce,
     orientability,
-    random_arrows,
     theta_k,
     theta_parity,
     theta_s,
 )
 
-from conftest import complete_graph, graph_from_vertex_pairs, relabel
+from conftest import (
+    complete_graph,
+    flower,
+    graph_from_vertex_pairs,
+    random_images,
+    relabel,
+    relabelled_copy,
+)
 
 
 def det_bruteforce(matrix):
@@ -153,33 +159,23 @@ class TestArrowsAndEpsilon:
 
     @pytest.mark.parametrize("arrows", [(1, 1, 1), (0, 2, 0), (0, 2, 4, 1), (0, 2), (0, 2, 99)])
     def test_malformed_arrows_are_rejected(self, triangle, arrows):
-        # Tails off their edge, too many and too few: otherwise a wrong sign, an
-        # internal-error SingularBasisError, an IndexError or a silent answer.
+        # Tails off their edge, too many and too few: otherwise a wrong sign,
+        # an IndexError or a silent answer.
         for a in enumerate_automorphisms(triangle):
-            for call in (lambda: theta_k(triangle, a, arrows), lambda: theta_s(triangle, a, arrows),
-                         lambda: epsilon_map(triangle, arrows, a),
-                         lambda: induced_cycle_matrix(triangle, arrows, a)):
+            for call in (lambda: theta_s(triangle, a, arrows),
+                         lambda: epsilon_map(triangle, arrows, a)):
                 with pytest.raises(ValueError, match="one half-edge of each edge"):
                     call()
-        with pytest.raises(ValueError, match="one half-edge of each edge"):
-            cycle_basis(triangle, arrows)
 
     def test_ids_that_are_not_integers_are_rejected(self, double_edge):
         # 0.0 == 0 and True == 1, but neither is an id: otherwise a TypeError from
-        # indexing, or a sign computed from bools. Checked before the cycle_basis cache.
+        # indexing, or a sign computed from bools.
         g = double_edge
         a = as_automorphism(g, (1, 0, 3, 2))
         for arrows in ((0.0, 2.0), (False, 2)):
-            for call in (lambda: theta_k(g, a, arrows), lambda: theta_s(g, a, arrows),
-                         lambda: epsilon_map(g, arrows, a),
-                         lambda: induced_cycle_matrix(g, arrows, a)):
+            for call in (lambda: theta_s(g, a, arrows), lambda: epsilon_map(g, arrows, a)):
                 with pytest.raises(ValueError, match="integer ids"):
                     call()
-        for order in ((1.0, 0.0), (True, False)):
-            with pytest.raises(ValueError, match="integer ids"):
-                theta_k(g, a, vertex_order=order)
-            with pytest.raises(ValueError, match="integer ids"):
-                induced_cycle_matrix(g, default_arrows(g), a, order)
 
 
 class TestThetaS:
@@ -198,102 +194,87 @@ class TestThetaS:
 
 class TestCycleBasis:
     def test_shapes_and_values(self, loop, single_edge, triangle, double_edge):
-        assert cycle_basis(single_edge, default_arrows(single_edge)) == ((),)
-        assert cycle_basis(loop, default_arrows(loop)) == ((1,),)
-        assert cycle_basis(triangle, default_arrows(triangle)) == ((1,), (1,), (1,))
-        assert cycle_basis(double_edge, default_arrows(double_edge)) == ((-1,), (1,))
+        assert cycle_basis(single_edge) == ((),)
+        assert cycle_basis(loop) == ((1,),)
+        assert cycle_basis(triangle) == ((1,), (1,), (1,))
+        assert cycle_basis(double_edge) == ((-1,), (1,))
 
-    def test_ids_are_checked_on_a_cache_hit(self, double_edge):
-        # (False, 2) == (0, 2) and hashes alike, so it finds the cached basis
-        # of (0, 2); the check must come before that lookup.
-        basis = cycle_basis(double_edge, (0, 2))
-        hits = cycle_basis.cache_info().hits
-        assert cycle_basis(double_edge, (0, 2)) == basis
-        assert cycle_basis.cache_info().hits == hits + 1
-        for arrows in ((False, 2), (0.0, 2)):
-            with pytest.raises(ValueError, match="integer ids"):
-                cycle_basis(double_edge, arrows)
-        for order in ((True, False), (1.0, 0.0)):
-            cycle_basis(double_edge, (0, 2), (1, 0))
-            with pytest.raises(ValueError, match="integer ids"):
-                cycle_basis(double_edge, (0, 2), order)
-
-    @pytest.mark.parametrize("order", [(), (0, 0), (7,)])
-    def test_vertex_order_must_be_a_permutation(self, triangle, order):
-        # () roots no vertex, so every edge would be a non-tree edge and its column no cycle.
-        flip = as_automorphism(triangle, (5, 4, 3, 2, 1, 0))
-        with pytest.raises(ValueError, match="not a permutation of the vertex ids"):
-            cycle_basis(triangle, default_arrows(triangle), order)
-        with pytest.raises(ValueError, match="not a permutation of the vertex ids"):
-            theta_k(triangle, flip, vertex_order=order)
+    def test_basis_is_cached_once_per_graph(self):
+        # theta_k on all 3840 automorphisms of the 5-loop flower builds one basis.
+        cycle_basis.cache_clear()
+        orientability(flower(5), ThetaHom.KONTSEVICH)
+        info = cycle_basis.cache_info()
+        assert (info.misses, info.hits) == (1, 3839)
 
     def test_nontree_rows_are_unit_vectors(self):
-        # Row nontree[j] of the basis is e_j, so cycle coordinates can be read off those rows.
+        # Row nontree[j] of the basis is e_j, so cycle coordinates can be read off
+        # those rows. Relabelled copies root the forest and point the arrows otherwise.
         rng = random.Random(1717)
         graphs = [*enumerate_graphs(CorpusSpec(6)),
                   *enumerate_graphs(CorpusSpec(5, connected_only=False))]
         cases = 0
-        for g in graphs:
-            shuffled = list(range(len(g.vertices)))
-            rng.shuffle(shuffled)
-            for arrows in (default_arrows(g), random_arrows(g, rng)):
-                for order in (None, tuple(shuffled)):
-                    via = spanning_forest(g, order)[1]
-                    nontree = sorted(set(range(len(g.edges))).difference(via))
-                    basis = cycle_basis(g, arrows, order)
-                    for j, e in enumerate(nontree):
-                        assert basis[e] == tuple(int(i == j) for i in range(len(nontree)))
-                    cases += 1
+        for base in graphs:
+            for g in (base, *(relabel(base, random_images(base.half_edge_count, rng))
+                              for _ in range(3))):
+                via = spanning_forest(g)[1]
+                nontree = sorted(set(range(len(g.edges))).difference(via))
+                basis = cycle_basis(g)
+                for j, e in enumerate(nontree):
+                    assert basis[e] == tuple(int(i == j) for i in range(len(nontree)))
+                cases += 1
         assert cases == 3424
 
     def test_columns_are_cycles_of_full_rank(self, corpus3):
-        for g, _ in corpus3:
-            arrows = default_arrows(g)
-            basis = cycle_basis(g, arrows)
-            k = len(basis[0]) if basis else 0
-            assert k == g.first_betti()
-            for j in range(k):
-                column = [basis[i][j] for i in range(len(g.edges))]
-                assert incidence_boundary(g, arrows, column) == [0] * len(g.vertices)
-            if k:
-                assert column_rank(basis) == k
+        rng = random.Random(1718)
+        for base, _ in corpus3:
+            for g in (base, *(relabel(base, random_images(base.half_edge_count, rng))
+                              for _ in range(5))):
+                basis = cycle_basis(g)
+                k = len(basis[0]) if basis else 0
+                assert k == g.first_betti()
+                for j in range(k):
+                    column = [basis[i][j] for i in range(len(g.edges))]
+                    assert incidence_boundary(g, default_arrows(g), column) == [0] * len(g.vertices)
+                if k:
+                    assert column_rank(basis) == k
 
 
 class TestInducedCycleMatrix:
     def test_examples(self, triangle, double_edge):
         ident = as_automorphism(triangle, perms.identity(6))
-        assert induced_cycle_matrix(triangle, default_arrows(triangle), ident) == ((1,),)
+        assert induced_cycle_matrix(triangle, ident) == ((1,),)
         refl = as_automorphism(triangle, (5, 4, 3, 2, 1, 0))
-        assert induced_cycle_matrix(triangle, default_arrows(triangle), refl) == ((-1,),)
+        assert induced_cycle_matrix(triangle, refl) == ((-1,),)
         edge_swap = as_automorphism(double_edge, (2, 3, 0, 1))
-        assert induced_cycle_matrix(double_edge, default_arrows(double_edge), edge_swap) == ((-1,),)
+        assert induced_cycle_matrix(double_edge, edge_swap) == ((-1,),)
 
     def test_identity_gives_identity_matrix(self, corpus3):
         for g, _ in corpus3:
             ident = as_automorphism(g, perms.identity(g.half_edge_count))
             k = g.first_betti()
             expected = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-            assert induced_cycle_matrix(g, default_arrows(g), ident) == expected
+            assert induced_cycle_matrix(g, ident) == expected
 
     def test_moves_basis_like_signed_edge_matrix(self, corpus3):
         # basis has full column rank, so basis @ X == S @ basis pins X.
         rng = random.Random(5)
-        for g, auts in corpus3:
-            if not g.first_betti():
+        for base, base_auts in corpus3:
+            if not base.first_betti():
                 continue
-            for arrows in [default_arrows(g)] + [random_arrows(g, rng) for _ in range(5)]:
-                basis = cycle_basis(g, arrows)
+            copies = [(base, base_auts)] + [
+                relabelled_copy(base, base_auts, random_images(base.half_edge_count, rng))
+                for _ in range(5)]
+            for g, auts in copies:
+                basis = cycle_basis(g)
                 for a in auts:
-                    x = induced_cycle_matrix(g, arrows, a)
-                    s = signed_edge_matrix(g, arrows, a)
+                    x = induced_cycle_matrix(g, a)
+                    s = signed_edge_matrix(g, default_arrows(g), a)
                     assert matmul(basis, x) == matmul(s, basis)
 
     def test_always_unimodular(self, corpus3):
         for g, auts in corpus3:
-            arrows = default_arrows(g)
             for a in auts:
-                m = induced_cycle_matrix(g, arrows, a)
-                assert det_sign(m) in (-1, 1)
+                assert det_sign(induced_cycle_matrix(g, a)) in (-1, 1)
 
 
 class TestDetSign:
@@ -332,21 +313,20 @@ class TestThetaK:
         assert theta_k(triangle, as_automorphism(triangle, (5, 4, 3, 2, 1, 0))) == 1
         assert theta_k(triangle, as_automorphism(triangle, (2, 3, 4, 5, 0, 1))) == 1
 
-    def test_spanning_forest_invariance_exhaustive(self, corpus3):
-        for g, auts in corpus3:
-            orders = list(itertools.permutations(range(len(g.vertices))))
-            for a in auts:
-                reference = theta_k(g, a)
-                for order in orders:
-                    assert theta_k(g, a, vertex_order=order) == reference
-
-    def test_arrangement_invariance(self, corpus3):
+    def test_relabelling_invariance(self, corpus3):
+        # theta_k on a relabelled copy uses other arrows and another forest of g.
+        # Every relabelling up to 4 half-edges, 48 seeded ones above.
         rng = random.Random(99)
         for g, auts in corpus3:
-            for a in auts:
-                reference = theta_k(g, a)
-                for _ in range(20):
-                    assert theta_k(g, a, arrows=random_arrows(g, rng)) == reference
+            n = g.half_edge_count
+            if n <= 4:
+                relabellings = itertools.permutations(range(n))
+            else:
+                relabellings = (random_images(n, rng) for _ in range(48))
+            reference = [theta_k(g, a) for a in auts]
+            for images in relabellings:
+                h, moved = relabelled_copy(g, auts, images)
+                assert [theta_k(h, b) for b in moved] == reference
 
 
 @pytest.mark.parametrize("basis, message", [
@@ -355,9 +335,9 @@ class TestThetaK:
 ])
 def test_broken_cycle_basis_is_an_internal_error(triangle, monkeypatch, basis, message):
     rotation = as_automorphism(triangle, (2, 3, 4, 5, 0, 1))
-    monkeypatch.setattr(orientkit.orientation, "cycle_basis", lambda *args: basis)
+    monkeypatch.setattr(orientkit.orientation, "cycle_basis", lambda g: basis)
     with pytest.raises(SingularBasisError, match=message):
-        induced_cycle_matrix(triangle, default_arrows(triangle), rotation)
+        induced_cycle_matrix(triangle, rotation)
     with pytest.raises(SingularBasisError, match=message):
         theta_k(triangle, rotation)
 
@@ -389,7 +369,7 @@ def test_each_evaluation_reads_the_induced_actions_once(corpus3, monkeypatch):
         arrows = default_arrows(g)
         for a in auts:
             for evaluate in (lambda: theta_k(g, a), lambda: theta_s(g, a),
-                             lambda: theta_parity(g, a), lambda: induced_cycle_matrix(g, arrows, a),
+                             lambda: theta_parity(g, a), lambda: induced_cycle_matrix(g, a),
                              lambda: epsilon_map(g, arrows, a)):
                 calls.clear()
                 evaluate()
