@@ -28,6 +28,7 @@ from orientkit.orientation import (
     induced_cycle_matrix,
     or_orbits_bruteforce,
     orientability,
+    random_arrows,
     theta_k,
     theta_parity,
     theta_s,
@@ -313,19 +314,34 @@ class TestThetaK:
         assert theta_k(triangle, as_automorphism(triangle, (5, 4, 3, 2, 1, 0))) == 1
         assert theta_k(triangle, as_automorphism(triangle, (2, 3, 4, 5, 0, 1))) == 1
 
-    def test_relabelling_invariance(self, corpus3):
-        # theta_k on a relabelled copy uses other arrows and another forest of g.
-        # Every relabelling up to 4 half-edges, 48 seeded ones above.
+    def test_spanning_forest_invariance_exhaustive(self, corpus3):
+        # For every vertex order, a relabelled copy whose vertex ids come in that
+        # order, so its forest enters g's components at order[0] onwards.
+        for g, auts in corpus3:
+            reference = [theta_k(g, a) for a in auts]
+            for order in itertools.permutations(range(len(g.vertices))):
+                images = [0] * g.half_edge_count
+                ids = itertools.count()
+                for v in order:
+                    for x in g.vertices[v]:
+                        images[x] = next(ids)
+                h, moved = relabelled_copy(g, auts, images)
+                assert h.vertices == tuple(
+                    tuple(sorted(images[x] for x in g.vertices[v])) for v in order)
+                assert [theta_k(h, b) for b in moved] == reference
+
+    def test_arrangement_invariance(self, corpus3):
+        # A relabelled copy whose default arrows are random arrows of g.
         rng = random.Random(99)
         for g, auts in corpus3:
-            n = g.half_edge_count
-            if n <= 4:
-                relabellings = itertools.permutations(range(n))
-            else:
-                relabellings = (random_images(n, rng) for _ in range(48))
             reference = [theta_k(g, a) for a in auts]
-            for images in relabellings:
+            for _ in range(20):
+                arrows = random_arrows(g, rng)
+                images = [0] * g.half_edge_count
+                for e, (tail, (x, y)) in enumerate(zip(arrows, g.edges)):
+                    images[tail], images[x + y - tail] = 2 * e, 2 * e + 1
                 h, moved = relabelled_copy(g, auts, images)
+                assert default_arrows(h) == tuple(images[t] for t in arrows)
                 assert [theta_k(h, b) for b in moved] == reference
 
 
