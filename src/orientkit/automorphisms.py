@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial, prod
 
 from . import perms
-from .graphs import Graph, NotAnAutomorphism, is_automorphism, paired_graph, spanning_forest
+from .graphs import (Graph, NotAnAutomorphism, is_automorphism, paired_graph, spanning_forest,
+                     twin_classes)
 from .limits import check_half_edges
 from .perms import Perm
 
@@ -124,7 +127,7 @@ def strong_generators(group: list[Perm]) -> list[Perm]:
 
     ``group`` is a whole permutation group in lexicographic order, as
     ``enumerate_automorphisms`` returns the image lists of Aut(g) and
-    ``vertex_quotient`` the vertex actions of Aut(M). For each pair (h, x)
+    ``vertex_quotient`` the class actions of Aut(M). For each pair (h, x)
     that occurs as (first moved point, its image), the first element with
     that pair is kept; the identity moves nothing and is not kept.
 
@@ -169,14 +172,20 @@ def vertex_quotient(
     order m!. It is generated by a flip of the first loop at each looped
     vertex and by swaps of adjacent loops and of adjacent parallel edges.
 
-    Aut(M) is read off the skeleton, g with one edge per bundle on the
-    same vertices. A skeleton automorphism maps bundles onto bundles, so
-    its vertex action keeps the zero entries of M zero; the actions that
-    also keep every multiplicity are in Aut(M). Conversely each sigma in
-    Aut(M) maps bundles onto bundles, and the skeleton's edges map as
-    above to a skeleton automorphism with vertex action sigma. So the
-    filtered actions are exactly Aut(M). The lifts are those of the
-    ``strong_generators`` of Aut(M) in lexicographic order.
+    Aut(M) is read off the ``twin_classes`` of M. Any permutation within
+    each class keeps M, and every sigma in Aut(M) maps classes onto
+    classes; so Aut(M) is the product of the classes' symmetric groups,
+    extended by the class actions: the permutations of classes that keep
+    class size, loop count, the multiplicity inside a class and the
+    multiplicity between two classes. Each class action spreads to the
+    sigma that maps the i-th member of a class to the i-th member of its
+    image, so |Aut(M)| = prod |A|! * |class actions|, and Aut(M) is
+    generated by swaps of adjacent members of a class and the spreads of
+    the class actions' ``strong_generators``. The class actions are
+    automorphisms of the collapsed skeleton: one vertex per class, one
+    edge per pair of classes joined by an edge, and a loop on each class
+    with loops or edges inside it. Its automorphisms are listed once per
+    end list and their vertex actions filtered by those invariants.
 
     Raises ``SizeLimitExceeded`` if g is above the half-edge cap.
     """
@@ -194,20 +203,31 @@ def vertex_quotient(
         u, v = vertex_of[a], vertex_of[b]
         bundles.setdefault(bundle(u, v), []).append((a, b) if u <= v else (b, a))
 
-    # Skeleton edge i stands for the i-th bundle: half-edge 2i at its u,
-    # 2i + 1 at its v; ends[h] is the vertex of g that half-edge h sits at,
-    # and at[w] the first skeleton half-edge at w.
-    ends = [w for key in bundles for w in key]
-    skeleton = paired_graph(ends)
-    at = [ends.index(w) for w in range(nv)]
     mult = g.multiplicity
+    classes = twin_classes(mult)
+    k = len(classes)
+    # q[i][j]: the multiplicity between the first vertex of class i and the
+    # last of class j; inside a class of one it is twice the loop count.
+    q = [[mult[a[0]][b[-1]] for b in classes] for a in classes]
+    size_loops = [(len(a), mult[a[0]][a[0]]) for a in classes]
+    # The collapsed skeleton's half-edge h sits at class ends[h]: an edge per
+    # pair of joined classes, a loop per class with loops or edges inside.
+    ends = tuple(x for i in range(k) for j in range(i, k)
+                 if q[i][j] or (i == j and size_loops[i][1]) for x in (i, j))
+    class_actions = [tau for tau in _skeleton_actions(ends) if all(
+        size_loops[t] == size_loops[i] and all(q[t][tau[j]] == q[i][j] for j in range(k))
+        for i, t in enumerate(tau))]
 
-    def preserves_mult(sigma: Perm) -> bool:
-        return all(mult[sigma[u]][sigma[v]] == mult[u][v] for u, v in bundles)
+    def sending(pairs) -> Perm:  # the vertex permutation taking u to v for each (u, v)
+        sigma = list(range(nv))
+        for u, v in pairs:
+            sigma[u] = v
+        return tuple(sigma)
 
-    actions = {tuple(ends[a.perm[h]] for h in at)
-               for a in enumerate_automorphisms(skeleton, max_half_edges)}
-    aut_m = sorted(sigma for sigma in actions if preserves_mult(sigma))
+    aut_m_order = prod(factorial(len(a)) for a in classes) * len(class_actions)
+    aut_m_gens = [sending([(u, v), (v, u)]) for a in classes for u, v in zip(a, a[1:])]
+    aut_m_gens += (sending(x for a, t in zip(classes, tau) for x in zip(a, classes[t]))
+                   for tau in strong_generators(class_actions))  # the spreads
 
     def swap(pairs) -> Automorphism:
         img = list(range(g.half_edge_count))
@@ -232,4 +252,18 @@ def vertex_quotient(
                 img[a], img[b] = (c, d) if su <= sv else (d, c)
         return Automorphism(g, tuple(img))
 
-    return kernel_order * len(aut_m), kernel_gens, [lift(s) for s in strong_generators(aut_m)]
+    return kernel_order * aut_m_order, kernel_gens, [lift(s) for s in aut_m_gens]
+
+
+@lru_cache(maxsize=1024)
+def _skeleton_actions(ends: tuple[int, ...]) -> tuple[Perm, ...]:
+    """The vertex actions of Aut(paired_graph(ends)) on the labels 0..k-1 of
+    ``ends``, each of which occurs, in lexicographic order.
+
+    Collapsed skeletons recur across a corpus, so each is searched once.
+    The skeleton is no larger than the graph that passed the cap, so its
+    own size is its cap.
+    """
+    at = [ends.index(w) for w in range(len(set(ends)))]  # the first half-edge at each label
+    return tuple(sorted({tuple(ends[a.perm[h]] for h in at)
+                         for a in enumerate_automorphisms(paired_graph(ends), len(ends))}))

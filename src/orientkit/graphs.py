@@ -452,6 +452,31 @@ def orbit_contraction(g: Graph, phi: Perm, e: int) -> OrbitContraction:
 # --- canonical form -------------------------------------------------------
 
 
+def twin_classes(mult: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The classes of the twin relation on the vertices of the multiplicity
+    matrix ``mult``, each ascending, ordered by their least member.
+
+    u and v are twins iff swapping them keeps every entry of M: equal loop
+    counts and equal multiplicity to every other vertex. That is an
+    equivalence, since if (u v) and (v w) keep M, so does their conjugate
+    (u w) = (u v)(v w)(u v); so v joins the first class whose least member
+    is its twin. Within a class every pair has one multiplicity, and
+    between two classes every pair has one.
+    """
+    nv = len(mult)
+    classes: list[list[int]] = []
+    for v in range(nv):
+        for members in classes:
+            u = members[0]
+            if mult[u][u] == mult[v][v] and all(
+                    mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return [tuple(members) for members in classes]
+
+
 def _least(mult: tuple[tuple[int, ...], ...], twins: list[int], rows: dict[int, tuple]) -> tuple:
     # The least row sequence placing rows' vertices after the prefix; v waits for twins[v].
     if not rows:
@@ -469,21 +494,21 @@ def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     a vertex's row being (valence, loop count, multiplicity to each placed
     vertex in placing order). Rows at one level depend only on the placed
     prefix, so only candidates with the least row recurse, and only the least
-    unplaced one of each twin class (equal loop counts, equal multiplicity to
-    every other vertex): swapping two twins keeps every multiplicity and the
-    placed prefix, so both reach the same sequence. The graph is read off the
-    sequence, so it is invariant under relabeling: position v's row holds its
-    loops at index 1 and its multiplicity to position u < v at index 2 + u,
-    and edges (h, h + 1) go in lexicographic order of their end positions,
-    so ``paired_graph`` builds it. Raises ``SizeLimitExceeded`` above the cap.
+    unplaced one of each of the ``twin_classes``: swapping two twins keeps
+    every multiplicity and the placed prefix, so both reach the same
+    sequence. The graph is read off the sequence, so it is invariant under
+    relabeling: position v's row holds its loops at index 1 and its
+    multiplicity to position u < v at index 2 + u, and edges (h, h + 1) go
+    in lexicographic order of their end positions, so ``paired_graph``
+    builds it. Raises ``SizeLimitExceeded`` above the cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     nv = len(g.vertices)
     mult = g.multiplicity
-    # twins[v]: the greatest u < v whose swap with v keeps every multiplicity, else -1
-    twins = [max((u for u in range(v) if mult[u][u] == mult[v][v] and all(
-        mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v)), default=-1)
-        for v in range(nv)]
+    twins = [-1] * nv  # twins[v]: the previous member of v's twin class, else -1
+    for members in twin_classes(mult):
+        for u, v in zip(members, members[1:]):
+            twins[v] = u
     seq = _least(mult, twins, {v: (len(g.vertices[v]), mult[v][v] // 2) for v in range(nv)})
     return paired_graph([x for u in range(nv) for v in range(u, nv)  # half-edge h at ends[h]
                          for _ in range(seq[u][1] if u == v else seq[v][2 + u]) for x in (u, v)])

@@ -1,10 +1,11 @@
 import gc
 import itertools
+import math
 import random
 
 import pytest
 
-from orientkit import perms
+from orientkit import automorphisms, perms
 from orientkit.automorphisms import (
     as_automorphism,
     enumerate_automorphisms,
@@ -24,7 +25,7 @@ from orientkit.graphs import (
 from orientkit.limits import SizeLimitExceeded
 from orientkit.orientation import fixes_every_vertex
 
-from conftest import complete_graph, flower, relabel
+from conftest import complete_graph, flower, graph_from_vertex_pairs, relabel
 
 
 def automorphisms_bruteforce(g):
@@ -318,3 +319,53 @@ def test_vertex_quotient_matches_the_enumerated_group(spec):
             products = closure(perms.identity(g.half_edge_count),
                                [a.perm for a in kernel_gens + lifts])
             assert products == set(group)
+
+
+def star(n):
+    return graph_from_vertex_pairs([(0, i) for i in range(1, n + 1)], n + 1)
+
+
+def dipole(m):
+    """m parallel edges between two vertices."""
+    return graph_from_vertex_pairs([(0, 1)] * m, 2)
+
+
+TWIN_RICH = (
+    [(f"star{n}", star(n), 2 if n == 1 else math.factorial(n)) for n in range(1, 9)]
+    + [("K4", complete_graph(4), 24),
+       ("K2,3", graph_from_vertex_pairs([(i, j) for i in range(2) for j in range(2, 5)], 5), 12)]
+    + [(f"dipole{m}", dipole(m), 2 * math.factorial(m)) for m in range(1, 8)]
+    + [(f"flower{k}", flower(k), 2 ** k * math.factorial(k)) for k in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize("g, order", [case[1:] for case in TWIN_RICH],
+                         ids=[case[0] for case in TWIN_RICH])
+def test_vertex_quotient_on_twin_rich_shapes(g, order):
+    got, kernel_gens, lifts = vertex_quotient(g, max_half_edges=16)
+    assert got == order
+    assert all(is_automorphism(g, a.perm) for a in kernel_gens + lifts)
+    assert all(fixes_every_vertex(g, a) for a in kernel_gens)
+    assert not any(fixes_every_vertex(g, a) for a in lifts)
+    if len(g.edges) <= 4:
+        products = closure(perms.identity(g.half_edge_count),
+                           [a.perm for a in kernel_gens + lifts])
+        assert products == set(image_lists(g))
+
+
+def test_vertex_quotient_does_not_list_the_leaves_symmetric_group(monkeypatch):
+    # The eight leaves of K_{1,8} are one twin class: its collapsed skeleton
+    # is a single edge, not a star with 8! automorphisms.
+    listed = []
+
+    def counting(g, max_half_edges=None):
+        found = enumerate_automorphisms(g, max_half_edges)
+        listed.append(len(found))
+        return found
+
+    monkeypatch.setattr(automorphisms, "enumerate_automorphisms", counting)
+    for value in vars(automorphisms).values():  # every search runs afresh, under the wrapper
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert vertex_quotient(star(8), max_half_edges=16)[0] == 40320
+    assert sum(listed) <= 2

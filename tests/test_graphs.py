@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from orientkit import graphs as gr
 from orientkit import perms
 from orientkit.automorphisms import as_automorphism, induced_actions
+from orientkit.corpus import CorpusSpec, enumerate_graphs
 from orientkit.families import family_instances
 from orientkit.graphs import (
     BadEdgeArityError,
@@ -379,6 +380,33 @@ def named_graphs():
     ]
 
 
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(5),
+    CorpusSpec(5, allow_loops=False),
+    CorpusSpec(4, connected_only=False),
+], ids=["e5", "e5-no-loops", "e4-disconnected"])
+def test_twin_classes_match_their_definition(spec):
+    # u and v share a class iff swapping them keeps every entry of M. Each
+    # corpus graph is also checked on a relabelled copy, whose classes need
+    # not be runs of consecutive ids.
+    rng = random.Random(f"twins/{spec}")
+    for g in enumerate_graphs(spec):
+        for h in (g, relabel(g, rng.sample(range(g.half_edge_count), g.half_edge_count))):
+            mult = h.multiplicity
+            nv = len(mult)
+            classes = gr.twin_classes(mult)
+            assert sorted(v for members in classes for v in members) == list(range(nv))
+            assert all(list(members) == sorted(members) for members in classes)
+            assert [members[0] for members in classes] == sorted(members[0] for members in classes)
+            class_of = {v: i for i, members in enumerate(classes) for v in members}
+            for u, v in itertools.combinations(range(nv), 2):
+                swap = list(range(nv))
+                swap[u], swap[v] = v, u
+                keeps = all(mult[swap[x]][swap[y]] == mult[x][y]
+                            for x in range(nv) for y in range(nv))
+                assert (class_of[u] == class_of[v]) == keeps
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance(self, triangle, corpus3):
         rng = random.Random(411)
@@ -398,8 +426,6 @@ class TestCanonicalForm:
         assert gr.canonical_graph(double_edge) == gr.canonical_graph(other)
 
     def test_agrees_with_bruteforce_on_two_edge_graphs(self):
-        from orientkit.corpus import CorpusSpec, enumerate_graphs
-
         graphs = list(enumerate_graphs(CorpusSpec(2, connected_only=False)))
         for g1 in graphs:
             for g2 in graphs:
@@ -413,7 +439,7 @@ class TestCanonicalForm:
     def test_built_graphs_are_normalized_with_their_multiplicity(self, relabelled_shapes):
         # canonical_graph builds its graph without validate, and the corpus keeps those graphs.
         # _one_edge_more builds its children the same way, from each corpus graph.
-        from orientkit.corpus import CorpusSpec, _one_edge_more, enumerate_graphs
+        from orientkit.corpus import _one_edge_more
 
         graphs = [gr.canonical_graph(g, g.half_edge_count) for g in relabelled_shapes]
         for spec in (CorpusSpec(5), CorpusSpec(4, connected_only=False),
