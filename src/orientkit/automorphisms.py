@@ -163,14 +163,16 @@ def vertex_quotient(
     to the i-th edge of the bundle between sigma(u) and sigma(v), each
     half-edge to the one at the image of its vertex, and the i-th loop at
     u to the i-th loop at sigma(u) with its half-edges in order. So
-    |Aut(g)| = |K| * |Aut(M)|, and the generators of K together with the
-    lifts of generators of Aut(M) generate Aut(g).
+    |Aut(g)| = |K| * |Aut(M)|. The kernel generators' conjugates generate K,
+    and with the lifts' Aut(g); a theta, a homomorphism into an abelian group,
+    is constant on conjugacy classes, so the two lists decide it.
 
     K permutes the edges of each bundle and may flip loops, independently
     per bundle: on the l loops at a vertex it is the hyperoctahedral group
     of order 2^l * l!, and on m parallel edges the symmetric group of
     order m!. It is generated by a flip of the first loop at each looped
-    vertex and by swaps of adjacent loops and of adjacent parallel edges.
+    vertex and by swaps of adjacent loops and of adjacent parallel edges;
+    K conjugates a bundle's first swap to every other, so only it is kept.
 
     Aut(M) is read off the ``twin_classes`` of M. Any permutation within
     each class keeps M, and every sigma in Aut(M) maps classes onto
@@ -181,11 +183,13 @@ def vertex_quotient(
     sigma that maps the i-th member of a class to the i-th member of its
     image, so |Aut(M)| = prod |A|! * |class actions|, and Aut(M) is
     generated by swaps of adjacent members of a class and the spreads of
-    the class actions' ``strong_generators``. The class actions are
-    automorphisms of the collapsed skeleton: one vertex per class, one
-    edge per pair of classes joined by an edge, and a loop on each class
-    with loops or edges inside it. Its automorphisms are listed once per
-    end list and their vertex actions filtered by those invariants.
+    the class actions' ``strong_generators``. Permuting a class conjugates
+    its first swap to every other, and the lift is a homomorphism, so only
+    that swap is kept. The class actions are automorphisms of the
+    collapsed skeleton: one vertex per class, one edge per pair of classes
+    joined by an edge, and a loop on each class with loops or edges inside
+    it. Its automorphisms are listed once per end list and their vertex
+    actions filtered by those invariants.
 
     Raises ``SizeLimitExceeded`` if g is above the half-edge cap.
     """
@@ -225,7 +229,7 @@ def vertex_quotient(
         return tuple(sigma)
 
     aut_m_order = prod(factorial(len(a)) for a in classes) * len(class_actions)
-    aut_m_gens = [sending([(u, v), (v, u)]) for a in classes for u, v in zip(a, a[1:])]
+    aut_m_gens = [sending([(a[0], a[1]), (a[1], a[0])]) for a in classes if len(a) > 1]
     aut_m_gens += (sending(x for a, t in zip(classes, tau) for x in zip(a, classes[t]))
                    for tau in strong_generators(class_actions))  # the spreads
 
@@ -242,7 +246,7 @@ def vertex_quotient(
             kernel_order *= 2 * i if u == v else i
         if u == v:
             kernel_gens.append(swap([edges[0]]))
-        kernel_gens += (swap(zip(e, f)) for e, f in zip(edges, edges[1:]))
+        kernel_gens += (swap(zip(e, f)) for e, f in zip(edges[:1], edges[1:2]))
 
     def lift(sigma: Perm) -> Automorphism:
         img = [0] * g.half_edge_count

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .automorphisms import Automorphism, enumerate_automorphisms, vertex_quotient
-from .graphs import Graph, canonical_graph, format_graph, paired_graph
+from .graphs import Graph, canonical_graph, format_graph, paired_graph, twin_classes
 from .limits import check_half_edges, half_edge_cap, nonnegative
 from .orientation import ThetaFn, Verdict, orientability, theta_k, theta_s
 
@@ -82,15 +82,21 @@ class SweepReport:
 
 
 def _one_edge_more(g: Graph, spec: CorpusSpec) -> Iterator[Graph]:
-    """Every graph made from g by adding one edge with the next two half-edge ids.
+    """Graphs made from g by adding one edge with the next two half-edge ids,
+    one for each place up to a swap of twins in g.
 
     g must be edge-paired, its edges (2i, 2i + 1), as canonical graphs and
     the empty graph are; so is every result. The new edge runs between
     vertices u <= v, where ids n and n+1 (n the vertex count) stand for new
-    vertices.
+    vertices. Swapping twins is an automorphism of g, so a loop, a pendant
+    edge or an edge between ``twin_classes`` starts only at a class's least
+    member, and an edge inside a class joins its least two.
     """
     n = len(g.vertices)
-    ends = [(u, v) for u in range(n) for v in range(u, n + 1)]
+    classes = twin_classes(g.multiplicity)
+    least = [members[0] for members in classes]
+    ends = [(u, v) for i, u in enumerate(least) for v in least[i:] + [n]]
+    ends += [members[:2] for members in classes if len(members) > 1]
     if not n or not spec.connected_only:
         ends += [(n, n), (n, n + 1)]
     for u, v in ends:
@@ -115,7 +121,8 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     pendant vertex if there is one, leaves the component connected. The
     result is in level e-1, is loopless if the graph was, and is connected
     if the graph was, and adding the deleted edge back is one of the moves
-    above. Every level is deduplicated by canonical form.
+    above up to swaps of twins, automorphisms of the smaller graph that
+    give isomorphic children. Every level is deduplicated by canonical form.
 
     Each class is emitted once, as its canonical representative, in byte
     order of the canonical forms. The empty graph belongs to the corpus
@@ -142,10 +149,10 @@ def sweep_theorem(
 
     Each graph is decided by one ``orientability`` call per theta, both on
     one list: by default the kernel generators and lifts of
-    ``vertex_quotient``, which generate Aut(g) without listing it. This
-    module's ``theta_k`` and ``theta_s`` are homomorphisms
-    Aut(g) -> {+1, -1}, so they agree on Aut(g) iff they agree on those,
-    and each verdict on them is the verdict on Aut(g). Nothing here
+    ``vertex_quotient``, whose conjugates generate Aut(g). This module's
+    ``theta_k`` and ``theta_s`` are homomorphisms Aut(g) -> {+1, -1}, one
+    value per conjugacy class, so they agree on Aut(g) iff they agree on
+    those, and each verdict on them is the verdict on Aut(g). Nothing here
     assumes that the two thetas agree, and the Euler-characteristic
     identity, which would make them agree by construction, is not used.
 

@@ -460,16 +460,17 @@ def twin_classes(mult: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     counts and equal multiplicity to every other vertex. That is an
     equivalence, since if (u v) and (v w) keep M, so does their conjugate
     (u w) = (u v)(v w)(u v); so v joins the first class whose least member
-    is its twin. Within a class every pair has one multiplicity, and
-    between two classes every pair has one.
+    u is its twin, M[u][u] == M[v][v] and the rows equal off columns u, v.
+    Within a class every pair has one multiplicity, and between two classes
+    every pair has one.
     """
-    nv = len(mult)
     classes: list[list[int]] = []
-    for v in range(nv):
+    for v, rv in enumerate(mult):
         for members in classes:
             u = members[0]
-            if mult[u][u] == mult[v][v] and all(
-                    mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v):
+            ru = mult[u]
+            if (ru[u] == rv[v] and ru[:u] == rv[:u] and ru[u + 1:v] == rv[u + 1:v]
+                    and ru[v + 1:] == rv[v + 1:]):
                 members.append(v)
                 break
         else:
@@ -479,28 +480,31 @@ def twin_classes(mult: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 def _least(mult: tuple[tuple[int, ...], ...], twins: list[int], rows: dict[int, tuple]) -> tuple:
     # The least row sequence placing rows' vertices after the prefix; v waits for twins[v].
-    if not rows:
-        return ()
-    low = min(rows.values())
-    return (low,) + min(
-        _least(mult, twins, {u: r + (mult[u][v],) for u, r in rows.items() if u != v})
-        for v, r in rows.items() if r == low and twins[v] not in rows)
+    seq: list[tuple] = []
+    while rows:
+        seq.append(low := min(rows.values()))
+        places = [{u: r + (mult[u][v],) for u, r in rows.items() if u != v}
+                  for v in rows if rows[v] == low and twins[v] not in rows]
+        if len(places) > 1:
+            return tuple(seq) + min(_least(mult, twins, placed) for placed in places)
+        rows = places[0]
+    return tuple(seq)
 
 
 def canonical_graph(g: Graph, max_half_edges: int | None = None) -> Graph:
     """Canonical representative of g's isomorphism class.
 
-    Places the vertices one at a time and finds the least sequence of rows,
-    a vertex's row being (valence, loop count, multiplicity to each placed
-    vertex in placing order). Rows at one level depend only on the placed
-    prefix, so only candidates with the least row recurse, and only the least
-    unplaced one of each of the ``twin_classes``: swapping two twins keeps
-    every multiplicity and the placed prefix, so both reach the same
-    sequence. The graph is read off the sequence, so it is invariant under
-    relabeling: position v's row holds its loops at index 1 and its
-    multiplicity to position u < v at index 2 + u, and edges (h, h + 1) go
-    in lexicographic order of their end positions, so ``paired_graph``
-    builds it. Raises ``SizeLimitExceeded`` above the cap.
+    Places the vertices one at a time and finds the least sequence of rows, a
+    vertex's row being (valence, loop count, multiplicity to each placed vertex
+    in placing order). Rows at one level depend only on the placed prefix, so
+    only candidates with the least row are tried, branching only where two or
+    more remain, and only the least unplaced one of each of the
+    ``twin_classes``: swapping two twins keeps every multiplicity and the
+    placed prefix, so both reach the same sequence. The graph is read off the
+    sequence, so it is invariant under relabeling: position v's row holds its
+    loops at index 1 and its multiplicity to position u < v at index 2 + u, and
+    edges (h, h + 1) go in lexicographic order of their end positions, so
+    ``paired_graph`` builds it. Raises ``SizeLimitExceeded`` above the cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     nv = len(g.vertices)

@@ -276,9 +276,9 @@ def orientability(
 
     g is non-orientable iff theta is -1 on some automorphism that
     ``fixes_every_vertex``; the witness is the first such element of
-    ``auts``. For a homomorphism theta, generators of the kernel of the
-    vertex action plus any automorphisms that move a vertex, such as the
-    ``vertex_quotient`` lists, give the verdict on Aut(g).
+    ``auts``. For a homomorphism theta, elements whose conjugates generate
+    the kernel of the vertex action, plus any automorphisms that move a
+    vertex, such as the ``vertex_quotient`` lists, give the verdict on Aut(g).
     ``or_orbits_bruteforce`` is the independent slow oracle.
     """
     if auts is None:

@@ -23,7 +23,7 @@ from orientkit.corpus import (
     sweep_theorem,
     write_report,
 )
-from orientkit.graphs import Graph, canonical_graph, format_graph, parse_graph
+from orientkit.graphs import Graph, canonical_graph, format_graph, paired_graph, parse_graph, validate
 from orientkit.orientation import (
     ThetaHom,
     Verdict,
@@ -171,6 +171,56 @@ def test_augmentation_matches_set_partition_oracle(allow_loops, connected_only):
     assert list(enumerate_graphs(spec)) == oracle_classes(spec)
 
 
+def every_edge_more(g, spec):
+    """The unpruned moves: an edge (u, v) for every u <= v <= n with u < n, n
+    standing for a new vertex, and the new-component moves (n, n) and (n, n + 1)."""
+    n = len(g.vertices)
+    ends = [(u, v) for u in range(n) for v in range(u, n + 1)]
+    if not n or not spec.connected_only:
+        ends += [(n, n), (n, n + 1)]
+    return [paired_graph(g.vertex_of + (u, v)) for u, v in ends if u != v or spec.allow_loops]
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(5),
+    CorpusSpec(5, allow_loops=False),
+    CorpusSpec(4, connected_only=False),
+    CorpusSpec(4, allow_loops=False, connected_only=False),
+], ids=["e5", "e5-no-loops", "e4-disconnected", "e4-disconnected-no-loops"])
+def test_twin_pruned_moves_reach_every_child_class(spec):
+    # Every parent that the corpus extends: the empty graph and each class below the top level.
+    parents = [Graph(edges=(), vertices=())]
+    parents += (g for g in enumerate_graphs(spec) if len(g.edges) < spec.max_edges)
+    for g in parents:
+        pruned = list(corpus._one_edge_more(g, spec))
+        oracle = every_edge_more(g, spec)
+        assert len(pruned) <= len(oracle)
+        assert {canonical_graph(h) for h in pruned} == {canonical_graph(h) for h in oracle}
+        for h in pruned:
+            assert h == validate(h.half_edge_count, h.edges, h.vertices)
+
+
+def test_twin_pruning_cuts_the_corpus_canonicalizations(monkeypatch):
+    # The unpruned moves make 433 canonicalizations at |E| <= 5, the pruned ones 340.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return canonical_graph(*args)
+
+    monkeypatch.setattr(corpus, "canonical_graph", counted)
+    spec = CorpusSpec(5)
+    graphs = list(enumerate_graphs(spec))
+    assert len(calls) <= 340
+    level = {Graph(edges=(), vertices=())}
+    unpruned = set()
+    for _ in range(spec.max_edges):
+        level = {canonical_graph(h) for g in level for h in every_edge_more(g, spec)}
+        unpruned |= level
+    assert len(graphs) == 142
+    assert graphs == sorted(unpruned, key=format_graph)
+
+
 def test_class_counts_match_published_series():
     for allow_loops, expected in PUBLISHED_CLASS_COUNTS.items():
         n = len(expected)
@@ -283,10 +333,11 @@ def _times_power(series, v, e, k, odd):
     return out
 
 
-def signed_connected_counts(max_edges):
-    """Oracle for the sweep's agreement column, without enumeration and
-    without theta_k: the number of connected loopless classes with e edges,
-    e = 1..max_edges, on which theta_s is +1 on every automorphism.
+def signed_vertex_counts(max_edges, max_vertices):
+    """O_v for v = 0..max_vertices, as a list of coefficients of x^e for
+    e = 0..max_edges: the number of loopless classes with e edges on exactly
+    v vertices, none of them isolated, on which theta_s is +1 on every
+    automorphism. Without enumeration and without theta_k.
 
     A loop flip fixes every vertex and theta_s is -1 on it, so loops drop
     out. On v labelled vertices, sum over cycle types of sigma in S_v the
@@ -297,16 +348,11 @@ def signed_connected_counts(max_edges):
     parallel edges comes back reversed and theta_s picks up (-1)^m. That
     is S_v, the classes on exactly v vertices, isolated ones allowed. Two
     isolated vertices swap with theta_s -1, so O_v = S_v - O_(v-1) counts
-    the classes without isolated vertices. Swapping two identical
-    components on c vertices has theta_s (-1)^c, so
-    sum O_v y^v x^e = prod over odd v of (1 + y^v x^e)^c(v, e) times
-    prod over even v of (1 - y^v x^e)^-c(v, e), solved level by level for
-    the connected counts c(v, e). Willwacher & Zivkovic count graph complex
-    bases this way (Adv. Math. 2015)."""
+    the classes without isolated vertices. Willwacher & Zivkovic count graph
+    complex bases this way (Adv. Math. 2015)."""
     n = max_edges
-    nv = n + 1  # a connected graph with n edges has at most n + 1 vertices
     classes = []  # O_v as a series in x
-    for v in range(nv + 1):
+    for v in range(max_vertices + 1):
         total = [Fraction(0)] * (n + 1)
         for cycles in cycle_types(v):
             weight = Fraction((-1) ** (v - len(cycles)))
@@ -334,6 +380,22 @@ def signed_connected_counts(max_edges):
         if classes:
             counts = [c - below for c, below in zip(counts, classes[-1])]
         classes.append(counts)
+    return classes
+
+
+def signed_connected_counts(max_edges):
+    """Oracle for the sweep's agreement column: the number of connected
+    loopless classes with e edges, e = 1..max_edges, on which theta_s is +1
+    on every automorphism.
+
+    Swapping two identical components on c vertices has theta_s (-1)^c, so
+    sum O_v y^v x^e = prod over odd v of (1 + y^v x^e)^c(v, e) times
+    prod over even v of (1 - y^v x^e)^-c(v, e), with O_v from
+    ``signed_vertex_counts``, solved level by level for the connected
+    counts c(v, e)."""
+    n = max_edges
+    nv = n + 1  # a connected graph with n edges has at most n + 1 vertices
+    classes = signed_vertex_counts(n, nv)
     # Every component has an edge, so the product's terms at level e come from
     # c(v, e) alone, plus products of components with fewer edges.
     product = [[int(v == e == 0) for e in range(n + 1)] for v in range(nv + 1)]
@@ -362,6 +424,23 @@ def test_signed_count_oracle_matches_the_sweep():
         s_side[len(g.edges) - 1] += all(theta_s(g, a) == 1 for a in gens)
     assert k_side == SIGNED_CONNECTED_COUNTS
     assert s_side == SIGNED_CONNECTED_COUNTS
+
+
+def test_signed_count_oracle_matches_the_disconnected_sweep():
+    # A graph with e edges and no isolated vertex has at most 2e vertices, so
+    # O_v summed over v <= 2e counts the classes of CorpusSpec(6,
+    # connected_only=False) with e edges, the empty one at 0 included, on
+    # which theta_s is +1 on every automorphism. Summing only to v <= e + 1
+    # misses disjoint edges: it gives 0 at e = 2 and 8 at e = 4.
+    n = 6
+    classes = signed_vertex_counts(n, 2 * n)
+    oracle = [sum(classes[v][e] for v in range(2 * e + 1)) for e in range(n + 1)]
+    assert oracle == [1, 1, 1, 4, 9, 24, 81]
+    s_side = [0] * (n + 1)
+    for g in enumerate_graphs(CorpusSpec(n, connected_only=False, max_half_edges=2 * n)):
+        _, kernel_gens, lifts = vertex_quotient(g, 2 * n)
+        s_side[len(g.edges)] += all(theta_s(g, a) == 1 for a in kernel_gens + lifts)
+    assert s_side == oracle
 
 
 def test_emitted_graphs_are_canonical_and_sorted():
