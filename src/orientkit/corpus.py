@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .automorphisms import Automorphism, enumerate_automorphisms, vertex_quotient
-from .graphs import Graph, canonical_graph, format_graph, paired_graph, twin_classes
+from .graphs import Graph, canonical_graph, format_graph, twin_classes, with_paired_edge
 from .limits import check_half_edges, half_edge_cap, nonnegative
 from .orientation import ThetaFn, Verdict, orientability, theta_k, theta_s
 
@@ -86,11 +86,12 @@ def _one_edge_more(g: Graph, spec: CorpusSpec) -> Iterator[Graph]:
     one for each place up to a swap of twins in g.
 
     g must be edge-paired, its edges (2i, 2i + 1), as canonical graphs and
-    the empty graph are; so is every result. The new edge runs between
-    vertices u <= v, where ids n and n+1 (n the vertex count) stand for new
-    vertices. Swapping twins is an automorphism of g, so a loop, a pendant
-    edge or an edge between ``twin_classes`` starts only at a class's least
-    member, and an edge inside a class joins its least two.
+    the empty graph are; so is every result, grown from g by
+    ``with_paired_edge`` with g's multiplicity carried over. The new edge
+    runs between vertices u <= v, where ids n and n+1 (n the vertex count)
+    stand for new vertices. Swapping twins is an automorphism of g, so a
+    loop, a pendant edge or an edge between ``twin_classes`` starts only at
+    a class's least member, and an edge inside a class joins its least two.
     """
     n = len(g.vertices)
     classes = twin_classes(g.multiplicity)
@@ -101,7 +102,7 @@ def _one_edge_more(g: Graph, spec: CorpusSpec) -> Iterator[Graph]:
         ends += [(n, n), (n, n + 1)]
     for u, v in ends:
         if u != v or spec.allow_loops:
-            yield paired_graph(g.vertex_of + (u, v))
+            yield with_paired_edge(g, u, v)
 
 
 def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
@@ -128,12 +129,12 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     order of the canonical forms. The empty graph belongs to the corpus
     only when ``connected_only`` is off (connectedness requires a vertex).
     """
-    check_half_edges(2 * spec.max_edges, spec.max_half_edges)
+    cap = half_edge_cap(spec.max_half_edges)  # read once, not once per child
+    check_half_edges(2 * spec.max_edges, cap)
     level = {Graph(edges=(), vertices=())}
     seen = set() if spec.connected_only else set(level)
     for _ in range(spec.max_edges):
-        level = {canonical_graph(h, spec.max_half_edges)
-                 for g in level for h in _one_edge_more(g, spec)}
+        level = {canonical_graph(h, cap) for g in level for h in _one_edge_more(g, spec)}
         seen |= level
     yield from sorted(seen, key=format_graph)
 

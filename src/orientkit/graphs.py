@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Hashable, Iterable, Sequence
 
 from . import perms
@@ -63,7 +63,8 @@ class GraphSyntaxError(GraphError):
 @dataclass(frozen=True)
 class Graph:
     """Normalized half-edge graph. Build via ``validate`` or ``parse_graph``, or,
-    for the edge-paired form E = {(2i, 2i + 1)}, via ``paired_graph``."""
+    for the edge-paired form E = {(2i, 2i + 1)}, via ``paired_graph`` or
+    ``with_paired_edge``."""
 
     edges: tuple[tuple[int, int], ...]
     vertices: tuple[tuple[int, ...], ...]
@@ -184,6 +185,13 @@ def merge_classes(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
 _MAX_IDS_SHOWN = 8
 
 
+@cache
+def _paired_edges(count: int) -> tuple[tuple[int, int], ...]:
+    # One tuple per edge count, shared by every edge-paired graph of that size, so a
+    # corpus holds one copy per level rather than one per class.
+    return tuple((h, h + 1) for h in range(0, 2 * count, 2))
+
+
 def paired_graph(ends: Sequence[Hashable]) -> Graph:
     """The graph with edges (h, h + 1), h even, whose half-edge h lies at vertex ``ends[h]``.
 
@@ -194,8 +202,34 @@ def paired_graph(ends: Sequence[Hashable]) -> Graph:
     blocks: dict[Hashable, list[int]] = {}
     for h, w in enumerate(ends):
         blocks.setdefault(w, []).append(h)  # a block is created at its least id
-    return Graph(edges=tuple((h, h + 1) for h in range(0, len(ends), 2)),
-                 vertices=tuple(map(tuple, blocks.values())))
+    return Graph(edges=_paired_edges(len(ends) // 2), vertices=tuple(map(tuple, blocks.values())))
+
+
+def with_paired_edge(g: Graph, u: int, v: int) -> Graph:
+    """Edge-paired g plus the edge (2m, 2m + 1), m = |E|, from vertex u to vertex v, u <= v.
+
+    Ids from len(g.vertices) up stand for new vertices, numbered in order.
+    The new ids exceed every old one, so appending them to u's and v's
+    blocks, or opening a block for a new vertex, keeps the normal form; the
+    result is ``paired_graph(g.vertex_of + (u, v))``. Its ``multiplicity``
+    is g's with that edge added, not counted again.
+    """
+    h = 2 * len(g.edges)
+    n = len(g.vertices)
+    vertices = g.vertices
+    for w, x in ((u, h), (v, h + 1)):
+        if w < len(vertices):
+            vertices = vertices[:w] + (vertices[w] + (x,),) + vertices[w + 1:]
+        else:
+            vertices += ((x,),)
+    grow = (0,) * (len(vertices) - n)
+    mult = [row + grow for row in g.multiplicity] + [(0,) * len(vertices)] * len(grow)
+    for a, b in ((u, v), (v, u)):  # a loop adds 2 on the diagonal
+        row = mult[a]
+        mult[a] = row[:b] + (row[b] + 1,) + row[b + 1:]
+    child = Graph(edges=_paired_edges(h // 2 + 1), vertices=vertices)
+    vars(child)["multiplicity"] = tuple(mult)
+    return child
 
 
 def validate(

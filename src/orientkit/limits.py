@@ -6,7 +6,6 @@ from __future__ import annotations
 import operator
 import os
 import re
-from contextlib import suppress
 
 DEFAULT_MAX_HALF_EDGES = 14
 ENV_VAR = "ORIENTKIT_MAX_HALFEDGES"
@@ -57,9 +56,11 @@ def integer(value) -> int:
 
 def nonnegative(value, what: str) -> int:
     """``integer(value)`` if it is >= 0; otherwise ValueError naming ``what``."""
-    with suppress(TypeError):
+    try:  # as in integer, cheaper than contextlib.suppress
         if (n := integer(value)) >= 0:
             return n
+    except TypeError:
+        pass
     raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
 
 

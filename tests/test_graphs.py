@@ -438,16 +438,20 @@ class TestCanonicalForm:
 
     def test_built_graphs_are_normalized_with_their_multiplicity(self, relabelled_shapes):
         # canonical_graph builds its graph without validate, and the corpus keeps those graphs.
-        # _one_edge_more builds its children the same way, from each corpus graph.
+        # _one_edge_more grows its children from each corpus graph without validate, and
+        # carries the parent's multiplicity over instead of counting it again.
         from orientkit.corpus import _one_edge_more
 
         graphs = [gr.canonical_graph(g, g.half_edge_count) for g in relabelled_shapes]
         for spec in (CorpusSpec(5), CorpusSpec(4, connected_only=False),
                      CorpusSpec(5, allow_loops=False)):
             graphs += enumerate_graphs(spec)
-        for spec in (CorpusSpec(4), CorpusSpec(3, connected_only=False)):
+        for spec in (CorpusSpec(5), CorpusSpec(5, allow_loops=False),
+                     CorpusSpec(3, connected_only=False)):
             graphs += (h for g in enumerate_graphs(spec) for h in _one_edge_more(g, spec))
+        shared = {}  # every edge-paired graph with m edges holds the same edges tuple
         for g in graphs:
+            assert shared.setdefault(len(g.edges), g.edges) is g.edges
             assert g == gr.validate(g.half_edge_count, g.edges, g.vertices)
             blocks = [set(block) for block in g.vertices]
             assert g.multiplicity == tuple(tuple(
