@@ -151,10 +151,10 @@ def _cmd_orient(args) -> int:
             line += f" witness={perms.format_perm(report.witness.perm)}"
         print(line)
         if args.bruteforce:
-            # The oracle lists Aut(g) itself but reads theta from the report; a
-            # perm missing there is an internal bug, so its KeyError is not caught.
-            values = {a.perm: value for a, value in report.per_automorphism_theta}
-            count, z2_free, _ = or_orbits_bruteforce(g, lambda g, a: values[a.perm])
+            # The oracle takes the verdict's automorphisms and theta values, so Aut(g)
+            # is listed once; it raises RuntimeError unless they pass its group guards.
+            values = dict(report.per_automorphism_theta)
+            count, z2_free, _ = or_orbits_bruteforce(g, lambda g, a: values[a], list(values))
             print(f"orbits={count} z2_free={'true' if z2_free else 'false'}")
     return 0
 

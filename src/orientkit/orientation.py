@@ -290,66 +290,66 @@ def orientability(
 
 
 def or_orbits_bruteforce(
-    g: Graph, theta: ThetaFn
+    g: Graph, theta: ThetaFn, auts: list[Automorphism] | None = None
 ) -> tuple[int, bool, tuple[tuple[tuple[Perm, int], ...], ...]]:
     """Orbits of (vertex enumeration, sign) pairs under the twisted action.
 
     Enumerates every pair (tau, eps) with tau a bijection from vertex ids to
-    1..|V| and eps in {+1,-1}; an automorphism acts by relabeling tau along
-    its vertex action and multiplying eps by its theta value. Returns the
-    orbit count, whether the global sign flip acts freely on orbits, and
-    the orbits themselves, each sorted, ordered by their first pair in
-    (tau in ``itertools.permutations`` order, then eps = +1 before -1).
-    This is the slow oracle for ``orientability``; theta is any ``ThetaFn``.
+    1..|V| and eps in {+1,-1}; an automorphism acts by relabeling tau along its
+    vertex action and multiplying eps by its theta value. Returns the orbit
+    count, whether the global sign flip acts freely on orbits, and the orbits
+    themselves, each sorted, ordered by their first pair in (tau in
+    ``itertools.permutations`` order, then eps = +1 before -1). The slow oracle
+    for ``orientability``: theta is any ``ThetaFn``, evaluated once on each of
+    ``auts``, a group (default: ``enumerate_automorphisms(g)``).
 
-    Theta is evaluated once on every automorphism; the list is then reduced
-    to its distinct (inverse vertex action, theta value) pairs, which act on
-    (tau, eps) exactly as the whole group does. Each orbit is the set of
-    images of its first pair under those actions. The flip commutes with
-    every action, so orbits come in flip pairs: the images of (tau, -1) are
-    those of (tau, +1), flipped. So only pairs (tau, +1) are moved, and an
-    orbit that does not hold (tau, -1) is followed by its flip, read off it
-    rather than built again: |V|! images and |V|! flipped pairs when the
-    flip acts freely, 2 * |V|! images when it does not. Nothing about which
-    automorphisms glue signs is assumed. Raises ``RuntimeError`` if the
-    images of a first pair miss that pair, or if the orbits overlap or
-    leave a pair out, which guards against a broken enumeration; this is
-    not a full check that the actions are closed under composition.
+    The distinct (inverse vertex action, theta value) pairs act as the group
+    does, and freely on taus: each image of tau occurs once if the flip moves
+    the orbit of (tau, +1), else twice, once with each sign. The flip commutes
+    with every action, so in the first case the orbit of (tau, -1) is the sorted
+    orbit with every sign flipped. An orbit pair costs one image per action and
+    one sort: |V|! images in all, or 2 * |V|! when the flip fixes orbits. Raises
+    ``RuntimeError`` unless (identity, +1) is an action, no orbit meets an
+    earlier one, and each orbit's images are all distinct or each there once
+    with each sign: a guard against a broken list, not a full group check.
     """
     nv = len(g.vertices)
     if nv > 8:
         raise SizeLimitExceeded(f"brute-force orbit search limited to 8 vertices, got {nv}")
-    auts = enumerate_automorphisms(g)
+    if auts is None:
+        auts = enumerate_automorphisms(g)
     actions = dict.fromkeys(
         (perms.inverse(induced_actions(g, a).vertex_perm), theta(g, a)) for a in auts
     )
+    # With the action on taus free, this is each orbit holding its first pair.
+    if (perms.identity(nv), 1) not in actions:
+        raise RuntimeError("automorphism actions do not form a group")
     # Relabeling tau along sigma sends sigma[v] to tau[v], so w to
     # tau[sigma^-1(w)]. itemgetter returns a bare item for one index, but
     # below two vertices every vertex action is the identity.
-    movers = [(itemgetter(*inv) if nv > 1 else tuple, value) for inv, value in actions]
+    movers = [itemgetter(*inv) if nv > 1 else tuple for inv, _ in actions]
+    values = [value for _, value in actions]
 
-    seen: set[tuple[Perm, int]] = set()
+    covered: set[Perm] = set()  # the taus whose pairs with both signs lie in listed orbits
     orbits: list[tuple[tuple[Perm, int], ...]] = []
     z2_free = True
     for tau in itertools.permutations(range(1, nv + 1)):
-        if (tau, 1) in seen:
+        if tau in covered:
             continue
-        orbit = {(move(tau), value) for move, value in movers}
-        if (tau, 1) not in orbit:
-            raise RuntimeError("automorphism actions do not form a group")
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-        # Orbits partition the pairs and the flip maps orbits to orbits,
-        # so it fixes this orbit iff the orbit holds (tau, -1).
-        if (tau, -1) in orbit:
+        images = [move(tau) for move in movers]
+        orbit = tuple(sorted(zip(images, values)))
+        before = len(covered)
+        covered.update(images)
+        new = len(covered) - before
+        if new == len(images):
+            # Images distinct: the orbit of (tau, -1), next in order, is this one flipped.
+            orbits += orbit, tuple([(t, -e) for t, e in orbit])
+        elif 2 * new == len(images) == 2 * len(set(images)):
+            # Each image twice, once with each sign: the flip fixes this orbit.
+            orbits.append(orbit)
             z2_free = False
         else:
-            # The orbit of (tau, -1), next in order: these images, flipped.
-            orbit = {(t, -e) for t, e in orbit}
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-    # A group's orbits partition the pairs; a broken enumeration may give
-    # orbits that overlap or that leave a pair out.
-    if sum(map(len, orbits)) != len(seen) or len(seen) != 2 * factorial(nv):
+            raise RuntimeError("automorphism actions do not form a group")
+    if len(covered) != factorial(nv):
         raise RuntimeError("automorphism actions do not form a group")
     return len(orbits), z2_free, tuple(orbits)

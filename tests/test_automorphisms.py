@@ -18,14 +18,22 @@ from orientkit.corpus import CorpusSpec, enumerate_graphs
 from orientkit.graphs import (
     GraphError,
     NotAnAutomorphism,
+    canonical_graph,
     orbit_contraction,
     parse_graph,
     validate,
 )
 from orientkit.limits import SizeLimitExceeded
-from orientkit.orientation import fixes_every_vertex
+from orientkit.orientation import fixes_every_vertex, theta_k, theta_s
 
-from conftest import complete_graph, flower, graph_from_vertex_pairs, relabel
+from conftest import (
+    complete_graph,
+    flower,
+    graph_from_vertex_pairs,
+    random_images,
+    relabel,
+    relabelled_copy,
+)
 
 
 def automorphisms_bruteforce(g):
@@ -383,3 +391,54 @@ def test_vertex_quotient_does_not_list_the_leaves_symmetric_group(monkeypatch):
             value.cache_clear()
     assert vertex_quotient(star(8), max_half_edges=16)[0] == 40320
     assert sum(listed) <= 2
+
+
+def cycle(n, times=1):
+    return graph_from_vertex_pairs([(i, (i + 1) % n) for i in range(n)] * times, n)
+
+
+def cube(times=1):
+    return graph_from_vertex_pairs(
+        [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b] * times, 8)
+
+
+def petersen():
+    pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    return graph_from_vertex_pairs(pairs + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 10)
+
+
+# Vertex-transitive graphs, twin-free but for the 3- and 4-cycles, so the
+# class actions do the work; and the same with every edge doubled, which
+# adds a swap per bundle to the kernel.
+# The orders in closed form: dihedral 2n, 48 for the cube, 120 = |S_5| for
+# Petersen, and a factor 2 per doubled edge.
+SYMMETRIC = (
+    [(f"C{n}", cycle(n), 2 * n) for n in range(3, 13)]
+    + [("Q3", cube(), 48), ("Petersen", petersen(), 120)]
+    + [(f"C{n}x2", cycle(n, 2), 2 * n * 2 ** n) for n in range(3, 8)]
+    + [("Q3x2", cube(2), 48 * 2 ** 12)]
+)
+
+
+@pytest.mark.parametrize("g, order", [case[1:] for case in SYMMETRIC],
+                         ids=[case[0] for case in SYMMETRIC])
+def test_vertex_quotient_on_symmetric_shapes(g, order, monkeypatch):
+    cap = g.half_edge_count
+    monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", str(cap))
+    got, kernel_gens, lifts = vertex_quotient(g)
+    assert got == order
+    if cap <= 30:  # Q3x2's 196,608 elements are not listed
+        assert len(enumerate_automorphisms(g)) == order
+    kept = kernel_gens + lifts
+    assert all(is_automorphism(g, a.perm) for a in kept)
+    assert all(fixes_every_vertex(g, a) for a in kernel_gens)
+    assert not any(fixes_every_vertex(g, a) for a in lifts)
+    if order <= 48:
+        assert_conjugates_generate(g, kernel_gens, lifts)
+    # Connected, so the theorem: theta_k and theta_s agree.
+    assert all(theta_k(g, a) == theta_s(g, a) for a in kept)
+    rng = random.Random(cap)
+    canonical = canonical_graph(g)
+    for _ in range(2):
+        copy, _ = relabelled_copy(g, [], random_images(cap, rng))
+        assert canonical_graph(copy) == canonical

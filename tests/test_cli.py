@@ -88,22 +88,31 @@ def test_orient_bruteforce_triangle(triangle_file, capsys):
 
 
 def test_orient_bruteforce_runs_oracle_once_per_graph(tmp_path, monkeypatch, capsys):
+    # The oracle runs once per graph, and takes the automorphisms the
+    # verdict listed: Aut(g) is listed once per graph, not twice.
     path = tmp_path / "two.graph"
     path.write_text(
         "halfedges=2; edges=(0 1); vertices={0 1}\n"
         "halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}\n"
     )
     calls = []
+    listed = collections.Counter()
     oracle = orientkit.orientation.or_orbits_bruteforce
 
     def counting(*args, **kwargs):
         calls.append(args)
         return oracle(*args, **kwargs)
 
+    def listing(g, max_half_edges=None):
+        listed[g] += 1
+        return enumerate_automorphisms(g, max_half_edges)
+
     monkeypatch.setattr(orientkit.cli, "or_orbits_bruteforce", counting)
     monkeypatch.setattr(orientkit.orientation, "or_orbits_bruteforce", counting)
+    monkeypatch.setattr(orientkit.orientation, "enumerate_automorphisms", listing)
     assert cli_main(["orient", str(path), "--bruteforce"]) == 0
     assert len(calls) == 2
+    assert sorted(listed.values()) == [1, 1]
     assert capsys.readouterr().out.count("z2_free=") == 2
 
 

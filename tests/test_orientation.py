@@ -473,6 +473,11 @@ class TestOrOrbits:
         count, free, _ = or_orbits_bruteforce(single_edge, ThetaHom.SHOIKHET)
         assert (count, free) == (2, True)
 
+    def test_explicit_auts_match_the_default(self, corpus3):
+        for g, auts in corpus3:
+            for theta in ThetaHom:
+                assert or_orbits_bruteforce(g, theta, auts) == or_orbits_bruteforce(g, theta)
+
     def test_matches_fast_criterion(self, corpus3):
         for g, _ in corpus3:
             for theta in ThetaHom:
@@ -517,6 +522,15 @@ class TestOrOrbits:
         assert (hashlib.sha256(text.encode("ascii")).hexdigest()
                 == "4032cce017874f6e58cc9b54d48c5e0833a8394223bb0086890c2ce07e5590f2")
 
+    def test_explicit_auts_keep_the_pinned_output(self, relabelled_shapes):
+        # The same text with Aut(g) handed to the oracle as a list.
+        graphs = [g for g in relabelled_shapes if len(g.vertices) >= 5]
+        lists = {g: enumerate_automorphisms(g) for g in graphs}
+        text = "".join(repr(or_orbits_bruteforce(g, theta, lists[g])) + "\n"
+                       for g in graphs for theta in ThetaHom)
+        assert (hashlib.sha256(text.encode("ascii")).hexdigest()
+                == "4032cce017874f6e58cc9b54d48c5e0833a8394223bb0086890c2ce07e5590f2")
+
     @pytest.mark.parametrize("dropped", range(6))
     def test_actions_that_are_not_a_group_raise(self, triangle, monkeypatch, tmp_path, dropped):
         def without_one(g, max_half_edges=None):
@@ -530,6 +544,18 @@ class TestOrOrbits:
         path.write_text("halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}\n")
         with pytest.raises(RuntimeError, match="do not form a group"):
             cli_main(["orient", str(path), "--bruteforce"])
+
+    @pytest.mark.parametrize("dropped", range(6))
+    def test_a_list_short_of_the_group_raises(self, triangle, dropped):
+        auts = enumerate_automorphisms(triangle)
+        with pytest.raises(RuntimeError, match="do not form a group"):
+            or_orbits_bruteforce(triangle, ThetaHom.KONTSEVICH, auts[:dropped] + auts[dropped + 1 :])
+
+    def test_a_theta_that_is_minus_one_on_the_identity_raises(self, triangle):
+        # Every vertex action then comes with one sign, as a group's would,
+        # but (identity, +1) is missing: the orbits would not hold their first pairs.
+        with pytest.raises(RuntimeError, match="do not form a group"):
+            or_orbits_bruteforce(triangle, lambda g, a: -theta_k(g, a))
 
     def test_actions_that_leave_a_pair_in_no_orbit_raise(self, monkeypatch):
         # An edge and a loop, without the automorphism that swaps the edge's
