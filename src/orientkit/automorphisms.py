@@ -13,11 +13,11 @@ from .limits import check_half_edges
 from .perms import Perm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Automorphism:
-    """A half-edge permutation preserving both partitions of its graph."""
+    """A half-edge permutation preserving both partitions of its graph, which
+    travels alongside: every function that takes an automorphism takes the graph too."""
 
-    graph: Graph
     perm: Perm
 
 
@@ -33,7 +33,7 @@ def as_automorphism(g: Graph, p: Perm) -> Automorphism:
     """Wrap a raw permutation, raising ``NotAnAutomorphism`` if it fails the check."""
     if not is_automorphism(g, p):
         raise NotAnAutomorphism(f"{perms.format_perm(p)} does not preserve the partitions")
-    return Automorphism(g, tuple(p))
+    return Automorphism(tuple(p))
 
 
 def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list[Automorphism]:
@@ -109,7 +109,7 @@ def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list
     # The search order follows the edges, not the ids, so the image lists
     # arrive unsorted; callers and witnesses rely on lexicographic order.
     found.sort()
-    return [Automorphism(g, p) for p in found]
+    return [Automorphism(p) for p in found]
 
 
 def induced_actions(g: Graph, a: Automorphism) -> InducedActions:
@@ -237,7 +237,7 @@ def vertex_quotient(
         img = list(range(g.half_edge_count))
         for x, y in pairs:
             img[x], img[y] = y, x
-        return Automorphism(g, tuple(img))
+        return Automorphism(tuple(img))
 
     kernel_order = 1
     kernel_gens = []
@@ -254,7 +254,7 @@ def vertex_quotient(
             su, sv = sigma[u], sigma[v]
             for (a, b), (c, d) in zip(edges, bundles[bundle(su, sv)]):
                 img[a], img[b] = (c, d) if su <= sv else (d, c)
-        return Automorphism(g, tuple(img))
+        return Automorphism(tuple(img))
 
     return kernel_order * aut_m_order, kernel_gens, [lift(s) for s in aut_m_gens]
 

@@ -20,7 +20,6 @@ put any vertex at the root and flip any arrow. Only theta_s and
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -223,9 +222,9 @@ def det_sign(matrix) -> int:
     """Exact sign of the determinant via fraction-free elimination.
 
     Accepts any square nested sequence of integers, and raises ``TypeError``
-    for any other entry; the 0 x 0 matrix has determinant +1 (empty product).
+    for any other entry, a bool included; the 0 x 0 matrix has determinant +1.
     """
-    a = [[operator.index(x) for x in row] for row in matrix]
+    a = [[x if type(x) is int else integer(x) for x in row] for row in matrix]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")

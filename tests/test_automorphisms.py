@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from orientkit import automorphisms, perms
 from orientkit.automorphisms import (
+    Automorphism,
     as_automorphism,
     enumerate_automorphisms,
     induced_actions,
@@ -51,6 +53,16 @@ def test_is_automorphism_examples(loop, single_edge, triangle):
     assert not is_automorphism(triangle, (1, 0, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         is_automorphism(triangle, (1, 0))
+
+
+def test_an_automorphism_is_its_image_list(loop, single_edge):
+    # The graph travels alongside, so equality and hashing read the image list
+    # alone, and a listed automorphism carries no instance dict.
+    a, b = as_automorphism(loop, (1, 0)), as_automorphism(single_edge, (1, 0))
+    assert a == b == Automorphism((1, 0))
+    assert hash(a) == hash(b)
+    assert [f.name for f in dataclasses.fields(Automorphism)] == ["perm"]
+    assert not hasattr(a, "__dict__")
 
 
 def test_enumerate_counts_match_bruteforce(loop, double_edge, triangle):
@@ -393,30 +405,53 @@ def test_vertex_quotient_does_not_list_the_leaves_symmetric_group(monkeypatch):
     assert sum(listed) <= 2
 
 
-def cycle(n, times=1):
-    return graph_from_vertex_pairs([(i, (i + 1) % n) for i in range(n)] * times, n)
+def shape(pairs, n, times=1, loops=False):
+    """The multigraph on vertices 0..n-1 with each of ``pairs`` ``times`` times,
+    and with a loop at every vertex if ``loops``."""
+    return graph_from_vertex_pairs(pairs * times + [(v, v) for v in range(n) if loops], n)
 
 
-def cube(times=1):
-    return graph_from_vertex_pairs(
-        [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b] * times, 8)
+def cycle(n, times=1, loops=False):
+    return shape([(i, (i + 1) % n) for i in range(n)], n, times, loops)
+
+
+def cube(times=1, loops=False):
+    return shape([(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b], 8, times, loops)
 
 
 def petersen():
     pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-    return graph_from_vertex_pairs(pairs + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 10)
+    return shape(pairs + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 10)
+
+
+def prism(n):
+    """C_n x K2: two n-cycles, vertex i of one joined to vertex i of the other."""
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    return shape(rim + [(n + u, n + v) for u, v in rim] + [(i, n + i) for i in range(n)], 2 * n)
+
+
+def moebius_ladder(k):
+    """The 2k-cycle with k rungs, each joining opposite vertices; k = 3 is K3,3."""
+    return shape([(i, (i + 1) % (2 * k)) for i in range(2 * k)] + [(i, i + k) for i in range(k)],
+                 2 * k)
 
 
 # Vertex-transitive graphs, twin-free but for the 3- and 4-cycles, so the
-# class actions do the work; and the same with every edge doubled, which
-# adds a swap per bundle to the kernel.
-# The orders in closed form: dihedral 2n, 48 for the cube, 120 = |S_5| for
-# Petersen, and a factor 2 per doubled edge.
+# class actions do the work; the same with every edge doubled, which adds a
+# swap per bundle to the kernel; and with a loop at every vertex, which adds
+# a flip per vertex.
+# The orders in closed form: dihedral 2n; 48 for the cube, the 4-prism;
+# 120 = |S_5| for Petersen; 4n for the other prisms; 72 for K3,3 and 4k for
+# the other Moebius ladders; a factor 2 per doubled edge or loop.
 SYMMETRIC = (
     [(f"C{n}", cycle(n), 2 * n) for n in range(3, 13)]
     + [("Q3", cube(), 48), ("Petersen", petersen(), 120)]
+    + [(f"prism{n}", prism(n), 4 * n) for n in (3, 5, 6)]
+    + [(f"moebius{k}", moebius_ladder(k), 72 if k == 3 else 4 * k) for k in (3, 4, 5)]
     + [(f"C{n}x2", cycle(n, 2), 2 * n * 2 ** n) for n in range(3, 8)]
     + [("Q3x2", cube(2), 48 * 2 ** 12)]
+    + [(f"C{n}+loops", cycle(n, loops=True), 2 * n * 2 ** n) for n in range(3, 8)]
+    + [("Q3+loops", cube(loops=True), 48 * 2 ** 8)]
 )
 
 
@@ -427,7 +462,7 @@ def test_vertex_quotient_on_symmetric_shapes(g, order, monkeypatch):
     monkeypatch.setenv("ORIENTKIT_MAX_HALFEDGES", str(cap))
     got, kernel_gens, lifts = vertex_quotient(g)
     assert got == order
-    if cap <= 30:  # Q3x2's 196,608 elements are not listed
+    if cap <= 30:  # above that, as for Q3x2's 196,608 elements, the closed form alone
         assert len(enumerate_automorphisms(g)) == order
     kept = kernel_gens + lifts
     assert all(is_automorphism(g, a.perm) for a in kept)

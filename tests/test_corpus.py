@@ -557,13 +557,13 @@ def test_thetas_are_homomorphisms_on_generators(spec):
     for g in enumerate_graphs(spec):
         auts = enumerate_automorphisms(g)
         _, kernel_gens, lifts = vertex_quotient(g)
-        gens = {p: Automorphism(g, p) for p in strong_generators([a.perm for a in auts])}
+        gens = {p: Automorphism(p) for p in strong_generators([a.perm for a in auts])}
         gens.update((s.perm, s) for s in kernel_gens + lifts)
         for theta in (theta_k, theta_s):
             value = {a.perm: theta(g, a) for a in auts}
             for s in gens.values():
                 for a in auts:
-                    product = Automorphism(g, perms.compose(a.perm, s.perm))
+                    product = Automorphism(perms.compose(a.perm, s.perm))
                     assert theta(g, product) == value[a.perm] * value[s.perm]
 
 

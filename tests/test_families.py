@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
+from math import prod
 
 import pytest
 
+import orientkit.families
+import orientkit.graphs
 from orientkit import perms
 from orientkit.automorphisms import (
     Automorphism,
@@ -9,7 +13,7 @@ from orientkit.automorphisms import (
     enumerate_automorphisms,
     induced_actions,
 )
-from orientkit.corpus import CorpusSpec, enumerate_graphs
+from orientkit.corpus import CorpusSpec, enumerate_graphs, sweep_theorem
 from orientkit.families import (
     Family,
     FamilyInstance,
@@ -22,7 +26,7 @@ from orientkit.families import (
 )
 from orientkit.graphs import canonical_graph, format_graph
 from orientkit.limits import MAX_FAMILY_N, SizeLimitExceeded
-from orientkit.orientation import theta_k, theta_s
+from orientkit.orientation import default_arrows, epsilon_map, theta_k, theta_s
 
 
 class TestFamilyI:
@@ -186,7 +190,7 @@ def test_verify_family_passes_exhaustively():
 def test_verify_family_catches_non_transitive(triangle):
     bogus = FamilyInstance(
         triangle,
-        Automorphism(triangle, perms.identity(6)),
+        Automorphism(perms.identity(6)),
         FamilyParams(Family.I, 1, 0),
     )
     failures = verify_family(bogus)
@@ -218,6 +222,72 @@ class TestEq1:
                 phi = as_automorphism(g, perms.power(inst.psi.perm, k))
                 for e in range(len(g.edges)):
                     assert eq1_check(g, phi, e).equal
+
+
+def corpus_triples(spec):
+    """(g, a, e) for every graph g of ``spec``, automorphism a of g and edge e of g."""
+    for g in enumerate_graphs(spec):
+        for a in enumerate_automorphisms(g):
+            for e in range(len(g.edges)):
+                yield g, a, e
+
+
+def contraction_chain(g, perm):
+    """Contract the orbit of edge 0 until no edge is left, and multiply the
+    dropped parities; no theta is evaluated."""
+    product = 1
+    while g.edges:
+        step = orientkit.graphs.orbit_contraction(g, perm, 0)
+        g, perm, product = step.graph, step.induced, product * step.dropped_parity
+    return product
+
+
+def chain_violations(spec):
+    """(canon, perm) for each automorphism of a graph of ``spec`` whose chain is -1."""
+    return {(format_graph(g), a.perm) for g in enumerate_graphs(spec)
+            for a in enumerate_automorphisms(g) if contraction_chain(g, a.perm) == -1}
+
+
+DISCONNECTED_E4 = CorpusSpec(4, connected_only=False)
+
+
+class TestContractionOracle:
+    """The paper's contraction method as a second oracle on the corpus: eq1 on
+    every (graph, automorphism, edge) triple, and the chain of contractions,
+    which needs no theta, against the sweep's violations. On a connected graph
+    a class drops only at the last step, as one class with parity +1, so there
+    the chain says +1 by construction and eq1 carries the check."""
+
+    @pytest.mark.parametrize("spec, count", [(CorpusSpec(4), 3054), (DISCONNECTED_E4, 11718)],
+                             ids=["e4", "e4-disconnected"])
+    def test_eq1_holds_on_every_corpus_triple(self, spec, count):
+        equal = [eq1_check(g, a, e).equal for g, a, e in corpus_triples(spec)]
+        assert len(equal) == count
+        assert all(equal)
+
+    def test_chain_is_minus_one_on_exactly_the_violations(self):
+        violations = {(v.canon, v.perm) for v in sweep_theorem(DISCONNECTED_E4).violations}
+        assert len(violations) == 800
+        assert chain_violations(DISCONNECTED_E4) == violations
+
+    def test_eq1_catches_one_flipped_epsilon(self, monkeypatch):
+        def theta_s_first_flipped(g, a):  # the epsilon of edge 0 negated
+            eps = epsilon_map(g, default_arrows(g), a)
+            return perms.sign(induced_actions(g, a).vertex_perm) * prod(eps) * (-1 if eps else 1)
+
+        monkeypatch.setattr(orientkit.families, "theta_s", theta_s_first_flipped)
+        assert not all(eq1_check(g, a, e).equal for g, a, e in corpus_triples(CorpusSpec(4)))
+
+    def test_both_checks_catch_a_lost_parity(self, monkeypatch):
+        real = orientkit.graphs.orbit_contraction
+
+        def parity_lost(g, phi, e):
+            return dataclasses.replace(real(g, phi, e), dropped_parity=1)
+
+        monkeypatch.setattr(orientkit.graphs, "orbit_contraction", parity_lost)
+        monkeypatch.setattr(orientkit.families, "orbit_contraction", parity_lost)
+        assert chain_violations(DISCONNECTED_E4) == set()
+        assert not all(eq1_check(g, a, e).equal for g, a, e in corpus_triples(DISCONNECTED_E4))
 
 
 class TestProofCaseValues:
@@ -267,7 +337,7 @@ def _pair_classes(n):
         graphs[canon] = g
         auts = [a.perm for a in enumerate_automorphisms(g)]
         for psi in auts:
-            edge_perm = induced_actions(g, Automorphism(g, psi)).edge_perm
+            edge_perm = induced_actions(g, Automorphism(psi)).edge_perm
             if perms.cycle_lengths(edge_perm) != [2**n] or (canon, psi) in classes:
                 continue
             # psi**(2**n) fixes every edge, so the order of psi divides 2**(n+1).

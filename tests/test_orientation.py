@@ -15,7 +15,7 @@ from orientkit.automorphisms import (
     vertex_quotient,
 )
 from orientkit.cli import cli_main
-from orientkit.graphs import merge_classes, spanning_forest, validate
+from orientkit.graphs import format_graph, merge_classes, spanning_forest, validate
 from orientkit.orientation import (
     SingularBasisError,
     ThetaHom,
@@ -298,6 +298,8 @@ class TestDetSign:
             det_sign([[0.5]])
         with pytest.raises(TypeError):
             det_sign([[1, 0], [0, Fraction(1, 2)]])
+        with pytest.raises(TypeError, match="must be an integer, got True"):
+            det_sign([[True]])
 
     def test_against_bruteforce_random(self):
         rng = random.Random(1707)
@@ -343,6 +345,21 @@ class TestThetaK:
                 h, moved = relabelled_copy(g, auts, images)
                 assert default_arrows(h) == tuple(images[t] for t in arrows)
                 assert [theta_k(h, b) for b in moved] == reference
+
+
+@pytest.mark.parametrize("spec, count, digest", [
+    (CorpusSpec(4, connected_only=False), 3025,
+     "7c405931f1784c2ff21dcab86a3abc4685b05c76fc8689cd134aad2339a787d1"),
+    (CorpusSpec(5), 6706, "54bc02b6d57954ee87b30aa7304b7ae129ef97e61c5dc1f22b62f21987f1c4fb"),
+], ids=["e4-disconnected", "e5"])
+def test_every_theta_value_is_pinned(spec, count, digest):
+    # The reports pin only rows and violations; this pins the sign each theta
+    # gives on every automorphism, one line "canon perm theta_k theta_s" each,
+    # so a faster theta_k must keep every value, not just the verdicts.
+    lines = [f"{format_graph(g)} {perms.format_perm(a.perm)} {theta_k(g, a)} {theta_s(g, a)}\n"
+             for g in enumerate_graphs(spec) for a in enumerate_automorphisms(g)]
+    assert len(lines) == count
+    assert hashlib.sha256("".join(lines).encode("ascii")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("basis, message", [
