@@ -122,34 +122,6 @@ def induced_actions(g: Graph, a: Automorphism) -> InducedActions:
     )
 
 
-def strong_generators(group: list[Perm]) -> list[Perm]:
-    """Coset representatives of the stabilizer chain with base 0, 1, 2, ...
-
-    ``group`` is a whole permutation group in lexicographic order, as
-    ``enumerate_automorphisms`` returns the image lists of Aut(g) and
-    ``vertex_quotient`` the class actions of Aut(M). For each pair (h, x)
-    that occurs as (first moved point, its image), the first element with
-    that pair is kept; the identity moves nothing and is not kept.
-
-    Let G_h be the elements that fix 0..h-1. An element outside G_h first
-    moves some j < h, and to a point above j, since 0..j-1 are already
-    images; so it sorts after every element of G_h, and G_h is a prefix
-    of ``group`` with the identity first. The kept elements with first
-    moved point h map h onto every point of its G_h-orbit other than h
-    itself, one element per coset of G_{h+1} in G_h; with the identity
-    for the coset G_{h+1}, they form a transversal. Every element of the
-    group is a product of one transversal element per level (Seress,
-    *Permutation Group Algorithms*, ch. 4), so the kept elements
-    generate the group.
-    """
-    firsts: dict[tuple[int, int], Perm] = {}
-    for p in group:
-        h = next((i for i, x in enumerate(p) if x != i), None)
-        if h is not None:
-            firsts.setdefault((h, p[h]), p)
-    return list(firsts.values())
-
-
 def vertex_quotient(
     g: Graph, max_half_edges: int | None = None
 ) -> tuple[int, list[Automorphism], list[Automorphism]]:
@@ -181,11 +153,12 @@ def vertex_quotient(
     class size, loop count, the multiplicity inside a class and the
     multiplicity between two classes. Each class action spreads to the
     sigma that maps the i-th member of a class to the i-th member of its
-    image, so |Aut(M)| = prod |A|! * |class actions|, and Aut(M) is
-    generated by swaps of adjacent members of a class and the spreads of
-    the class actions' ``strong_generators``. Permuting a class conjugates
-    its first swap to every other, and the lift is a homomorphism, so only
-    that swap is kept. The class actions are automorphisms of the
+    image, so |Aut(M)| = prod |A|! * |class actions|. Every sigma in Aut(M)
+    is a spread times a permutation within classes, so Aut(M) is generated
+    by swaps of adjacent members of a class and the spreads of the class
+    actions other than the identity. Permuting a class conjugates its first
+    swap to every other, and the lift is a homomorphism, so only that swap
+    is kept. The class actions are automorphisms of the
     collapsed skeleton: one vertex per class, one edge per pair of classes
     joined by an edge, and a loop on each class with loops or edges inside
     it. Its automorphisms are listed once per end list and their vertex
@@ -231,7 +204,7 @@ def vertex_quotient(
     aut_m_order = prod(factorial(len(a)) for a in classes) * len(class_actions)
     aut_m_gens = [sending([(a[0], a[1]), (a[1], a[0])]) for a in classes if len(a) > 1]
     aut_m_gens += (sending(x for a, t in zip(classes, tau) for x in zip(a, classes[t]))
-                   for tau in strong_generators(class_actions))  # the spreads
+                   for tau in class_actions[1:])  # the spreads; the identity comes first
 
     def swap(pairs) -> Automorphism:
         img = list(range(g.half_edge_count))

@@ -184,14 +184,14 @@ def _cmd_families(args) -> int:
                 print(f"  check FAILED: {problem}")
         else:
             print("  checks: ok")
+        powers = [as_automorphism(inst.graph, perms.power(inst.psi.perm, k))
+                  for k in range(1, 2**p.n + 1)]
         total = 0
         equal = 0
         for e in range(len(inst.graph.edges)):
-            for k in range(1, 2**p.n + 1):
-                phi = as_automorphism(inst.graph, perms.power(inst.psi.perm, k))
-                result = eq1_check(inst.graph, phi, e)
+            for phi in powers:
                 total += 1
-                equal += result.equal
+                equal += eq1_check(inst.graph, phi, e).equal
         print(f"  contraction identity: {equal}/{total} equal")
         if equal != total:
             failures += total - equal

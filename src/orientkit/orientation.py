@@ -111,8 +111,9 @@ def epsilon_map(g: Graph, arrows: Arrows, a: Automorphism) -> tuple[int, ...]:
 def theta_s(g: Graph, a: Automorphism, arrows: Arrows | None = None) -> int:
     """Shoikhet homomorphism: sign(vertex action) * product of epsilon signs."""
     if arrows is None:
-        arrows = default_arrows(g)
-    _check_arrows(g, arrows)
+        arrows = default_arrows(g)  # valid by construction
+    else:
+        _check_arrows(g, arrows)
     acts = induced_actions(g, a)
     return perms.sign(acts.vertex_perm) * prod(_arrow_signs(arrows, a.perm, acts.edge_perm))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, parse_graph, validate
+from orientkit import perms
 from orientkit.automorphisms import as_automorphism
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -72,6 +73,29 @@ def relabelled_copy(g, auts, images):
     relabelling can put any vertex at the root and flip any arrow."""
     h = relabel(g, images)
     return h, [as_automorphism(h, conjugate(a.perm, images)) for a in auts]
+
+
+def closure(identity, gens):
+    """Oracle: every product of generators, by breadth-first search."""
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = {perms.compose(p, s) for p in frontier for s in gens} - group
+        group |= fresh
+        frontier = list(fresh)
+    return group
+
+
+def first_per_moved_pair(group):
+    """Generators of a whole permutation group listed in lexicographic order:
+    for each (first moved point, its image) pair that occurs, the first
+    element with that pair. The identity moves nothing and is not kept."""
+    firsts = {}
+    for p in group:
+        h = next((i for i, x in enumerate(p) if x != i), None)
+        if h is not None:
+            firsts.setdefault((h, p[h]), p)
+    return list(firsts.values())
 
 
 def random_images(n, rng):

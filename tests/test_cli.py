@@ -8,8 +8,10 @@ import pytest
 
 import orientkit.cli
 import orientkit.orientation
+import orientkit.perms
 from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, format_graph
 from orientkit.cli import cli_main
+from orientkit.families import family_instances
 from orientkit.orientation import ThetaHom, or_orbits_bruteforce
 
 
@@ -144,8 +146,8 @@ def test_orient_bruteforce_evaluates_theta_once_per_automorphism(
 
 def test_contract_edge(triangle_file, capsys):
     assert cli_main(["contract", triangle_file, "--edge", "0"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == "halfedges=4; edges=(0 1)(2 3); vertices={0 3}{1 2}"
+    out = capsys.readouterr().out
+    assert out == "halfedges=4; edges=(0 1)(2 3); vertices={0 3}{1 2}\n"
 
 
 def test_contract_orbit(triangle_file, capsys):
@@ -183,6 +185,14 @@ def test_families_output_is_pinned(capsys):
     assert cli_main(["families", "--max-n", "3"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
     assert digest == "d54acaa328c34f9da192045c6b47bd27cf72d803ed0c1d88327d7a97ad36c70e"
+
+
+def test_families_computes_each_power_of_psi_once(monkeypatch, capsys):
+    calls = []
+    power = orientkit.perms.power
+    monkeypatch.setattr(orientkit.perms, "power", lambda p, k: calls.append(k) or power(p, k))
+    assert cli_main(["families", "--max-n", "2"]) == 0
+    assert len(calls) == sum(2**inst.params.n for inst in family_instances(2))
 
 
 def test_families_above_the_n_bound_exits_1(capsys):
@@ -332,3 +342,65 @@ def test_console_script_targets_are_callable():
     for target in scripts.values():
         module, attr = target.split(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+# The graph files of the console-script smoke test in .github/workflows/tests.yml.
+CI_GRAPHS = {
+    "loop": ["halfedges=2; edges=(0 1); vertices={0 1}"],
+    "two_loops": ["halfedges=4; edges=(0 1)(2 3); vertices={0 1 2 3}"],
+    "small": ["halfedges=2; edges=(0 1); vertices={0 1}",
+              "halfedges=4; edges=(0 1)(2 3); vertices={0 1 2 3}",
+              "halfedges=4; edges=(0 1)(2 3); vertices={0 2}{1 3}",
+              "halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}"],
+    "seven": ["halfedges=14; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13); "
+              "vertices={0 2}{1 4}{5 6}{7 8}{9 10}{11 12}{3 13}",
+              "halfedges=14; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13); "
+              "vertices={0}{1 2 4 6}{3}{5 8 9}{7 10}{11 12}{13}"],
+    "rank": ["halfedges=12; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11); "
+             "vertices={0 2 4}{1 6 8}{3 7 10}{5 9 11}",
+             "halfedges=6; edges=(0 1)(2 3)(4 5); vertices={0 2 4}{1 3 5}",
+             "halfedges=8; edges=(0 1)(2 3)(4 5)(6 7); vertices={0 1 2 4}{3 5 6 7}",
+             "halfedges=12; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11); "
+             "vertices={0 2 9 11}{1 3 4 6}{5 7 8 10}"],
+    "triangle": ["halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}"],
+}
+
+# Each of the smoke test's sub-second pins: the sha256 of stdout, text that
+# stdout must hold, or the whole of stdout. Its contract pin is test_contract_edge.
+CI_PINS = [
+    ("orient loop --theta s --bruteforce", "has", "z2_free=false"),
+    ("orient two_loops --theta k", "is",
+     "theta=KONTSEVICH verdict=NON_ORIENTABLE witness=[0,1,3,2]\n"),
+    ("orient small --theta k --bruteforce", "sha256",
+     "c8b06e3e737c3fe6314cdb07a5b934f2e698ba8395ce3a977a17d74a187e7466"),
+    ("orient small --theta s --bruteforce", "sha256",
+     "c885a68890dce1d788ed5ff50cccac54c0ff2b9334be373666847756277be085"),
+    ("orient small --theta parity --bruteforce", "sha256",
+     "591c410e03015800cf51d6ecbfec8671b2eb955b7e52e9f044c0b83f4200ebb4"),
+    ("orient seven --theta k --bruteforce", "sha256",
+     "073670810ba989a3ff2f672020360fcc825194277728307a0bc5a2c41c78a4ad"),
+    ("orient seven --theta s --bruteforce", "sha256",
+     "67012b3e76bf597f23b79438ba3ac5a7001edd3d7d4858c6a3cfd3fc582971fa"),
+    ("theta small --format json --arrangements 20 --seed 7", "sha256",
+     "61ed5d7e88db089210a4f5cfe8297150f6ece573d7150f6687e5ab19e7087766"),
+    ("theta rank --format json --arrangements 20 --seed 7", "sha256",
+     "f373f6e2394c0aec933ead7f21ca703b9840c78dec39b927b307392d7ebabf20"),
+    ("aut small", "sha256", "1e6e6b563b6a74de1ceef7472bd6edd8ad3e9defcc8988f0191614547c9bfc87"),
+    ("aut triangle", "sha256",
+     "1f8ae94b9d827c3b1c894fede9eda7aabf321ec5992d947bf135a7babeb71af2"),
+]
+
+
+@pytest.mark.parametrize("command, kind, expected", CI_PINS, ids=[pin[0] for pin in CI_PINS])
+def test_ci_console_pins(tmp_path, capsys, command, kind, expected):
+    subcommand, name, *rest = command.split()
+    path = tmp_path / f"{name}.graph"
+    path.write_text("".join(line + "\n" for line in CI_GRAPHS[name]))
+    assert cli_main([subcommand, str(path), *rest]) == 0
+    out = capsys.readouterr().out
+    if kind == "sha256":
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == expected
+    elif kind == "is":
+        assert out == expected
+    else:
+        assert expected in out

@@ -11,7 +11,6 @@ from orientkit.automorphisms import (
     Automorphism,
     enumerate_automorphisms,
     induced_actions,
-    strong_generators,
     vertex_quotient,
 )
 from orientkit.corpus import (
@@ -35,6 +34,7 @@ from orientkit.orientation import (
     theta_s,
 )
 
+from conftest import closure, first_per_moved_pair
 from test_graphs import iso_exists_bruteforce
 
 # Classes of connected graphs (loops allowed) per edge count. The values for
@@ -550,14 +550,17 @@ def test_report_bytes_are_pinned_at_six_edges():
 ], ids=["loops", "no-loops"])
 def test_thetas_are_homomorphisms_on_generators(spec):
     # The premise of deciding the sweep on generators: theta(a o s) =
-    # theta(a) theta(s) for every automorphism a and generator s, both the
-    # strong generators of Aut(g) and the kernel generators and lifts of
-    # vertex_quotient (each checked once). Disconnected graphs are
+    # theta(a) theta(s) for every automorphism a and generator s, both a
+    # generating set of the enumerated Aut(g) and the kernel generators and
+    # lifts of vertex_quotient (each checked once). Disconnected graphs are
     # included, where the two thetas disagree.
     for g in enumerate_graphs(spec):
         auts = enumerate_automorphisms(g)
+        group = [a.perm for a in auts]
+        picked = first_per_moved_pair(group)
+        assert closure(group[0], picked) == set(group)
         _, kernel_gens, lifts = vertex_quotient(g)
-        gens = {p: Automorphism(p) for p in strong_generators([a.perm for a in auts])}
+        gens = {p: Automorphism(p) for p in picked}
         gens.update((s.perm, s) for s in kernel_gens + lifts)
         for theta in (theta_k, theta_s):
             value = {a.perm: theta(g, a) for a in auts}
@@ -609,6 +612,19 @@ def test_connected_sweep_decides_on_generators(monkeypatch):
     assert sweep_theorem(CorpusSpec(5)).totals == {
         "graphs": 142, "automorphisms": 6706, "violations": 0}
     assert len(calls) == 142
+
+
+@pytest.mark.parametrize("spec, kernel, lifted", [(CorpusSpec(5), 216, 89),
+                                                  (CorpusSpec(6), 842, 291)], ids=["e5", "e6"])
+def test_connected_sweep_keeps_pinned_element_counts(spec, kernel, lifted):
+    # The elements theta runs on: kernel generators, then the first swap of
+    # each twin class and every class action but the identity, lifted.
+    counts = [0, 0]
+    for g in enumerate_graphs(spec):
+        _, kernel_gens, lifts = vertex_quotient(g)
+        counts[0] += len(kernel_gens)
+        counts[1] += len(lifts)
+    assert counts == [kernel, lifted]
 
 
 def test_doctored_theta_is_caught():

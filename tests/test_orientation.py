@@ -185,6 +185,18 @@ class TestThetaS:
         assert theta_s(triangle, as_automorphism(triangle, (5, 4, 3, 2, 1, 0))) == 1
         assert theta_s(double_edge, as_automorphism(double_edge, (1, 0, 3, 2))) == -1
 
+    def test_only_given_arrows_are_checked(self, triangle, monkeypatch):
+        # Default arrows are valid by construction; a caller's are checked once.
+        checked = []
+        check = orientkit.orientation._check_arrows
+        monkeypatch.setattr(orientkit.orientation, "_check_arrows",
+                            lambda g, arrows: checked.append(arrows) or check(g, arrows))
+        a = as_automorphism(triangle, (5, 4, 3, 2, 1, 0))
+        assert theta_s(triangle, a) == 1
+        assert checked == []
+        assert theta_s(triangle, a, (1, 3, 5)) == 1
+        assert checked == [(1, 3, 5)]
+
     def test_arrangement_invariance_exhaustive(self, corpus3):
         for g, auts in corpus3:
             for a in auts:
