@@ -13,7 +13,7 @@ import sys
 
 from . import perms
 from .automorphisms import as_automorphism, enumerate_automorphisms, induced_actions
-from .corpus import CorpusSpec, ReportWriteError, render_report, sweep_theorem, write_report
+from .corpus import CorpusSpec, ReportWriteError, report_chunks, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
 from .graphs import Graph, GraphError, format_graph, orbit_contraction, parse_graph
 from .limits import MAX_DIGITS, CapSettingError, SizeLimitExceeded, excerpt, parse_int
@@ -101,42 +101,24 @@ def _cmd_theta(args) -> int:
     import json
 
     for g in _read_graphs(args.file):
-        auts = enumerate_automorphisms(g)
-        rows = []
-        for a in auts:
-            tk, ts, tp = theta_k(g, a), theta_s(g, a), theta_parity(g, a)
-            rows.append((a, tk, ts, tp, tk == ts))
+        rows = [(a, theta_k(g, a), theta_s(g, a), theta_parity(g, a))
+                for a in enumerate_automorphisms(g)]
         if args.format == "json":
-            payload = {
-                "graph": format_graph(g),
-                "rows": [
-                    {
-                        "perm": list(a.perm),
-                        "theta_k": tk,
-                        "theta_s": ts,
-                        "theta_parity": tp,
-                        "agree": agree,
-                    }
-                    for a, tk, ts, tp, agree in rows
-                ],
-            }
+            payload = {"graph": format_graph(g),
+                       "rows": [{"perm": list(a.perm), "theta_k": tk, "theta_s": ts,
+                                 "theta_parity": tp, "agree": tk == ts} for a, tk, ts, tp in rows]}
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
+            width = max(6, 2 * g.half_edge_count + 2)
             print(f"graph: {format_graph(g)}")
-            print(f"{'perm':<{max(6, 2 * g.half_edge_count + 2)}} theta_k theta_s parity agree")
-            for a, tk, ts, tp, agree in rows:
-                print(
-                    f"{perms.format_perm(a.perm):<{max(6, 2 * g.half_edge_count + 2)}} "
-                    f"{_fmt_sign(tk):>7} {_fmt_sign(ts):>7} {_fmt_sign(tp):>6} "
-                    f"{'yes' if agree else 'NO'}"
-                )
+            print(f"{'perm':<{width}} theta_k theta_s parity agree")
+            for a, tk, ts, tp in rows:
+                print(f"{perms.format_perm(a.perm):<{width}} {_fmt_sign(tk):>7} {_fmt_sign(ts):>7}"
+                      f" {_fmt_sign(tp):>6} {'yes' if tk == ts else 'NO'}")
         if args.arrangements:
             rng = random.Random(args.seed)
-            stable = all(
-                theta_s(g, a, random_arrows(g, rng)) == ts
-                for a, _, ts, _, _ in rows
-                for _ in range(args.arrangements)
-            )
+            stable = all(theta_s(g, a, random_arrows(g, rng)) == ts
+                         for a, _, ts, _ in rows for _ in range(args.arrangements))
             print(f"arrangement_invariance={'ok' if stable else 'VIOLATED'}"
                   f" ({args.arrangements} samples)")
     return 0
@@ -209,7 +191,7 @@ def _cmd_verify(args) -> int:
         write_report(report, args.out, args.format)
         print(f"report written to {args.out}")
     else:
-        sys.stdout.write(render_report(report, args.format).decode("ascii"))
+        sys.stdout.writelines(report_chunks(report, args.format))
     print(" ".join(f"{key}={count}" for key, count in report.totals.items()), file=sys.stderr)
     return 2 if report.violations else 0
 

@@ -13,9 +13,9 @@ identical reports.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Iterator
 
 from .automorphisms import Automorphism, enumerate_automorphisms, vertex_quotient
@@ -128,6 +128,8 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     Each class is emitted once, as its canonical representative, in byte
     order of the canonical forms. The empty graph belongs to the corpus
     only when ``connected_only`` is off (connectedness requires a vertex).
+    No reference to a class is kept once it is emitted, so a caller that
+    drops it frees it and whatever it caches.
     """
     cap = half_edge_cap(spec.max_half_edges)  # read once, not once per child
     check_half_edges(2 * spec.max_edges, cap)
@@ -136,7 +138,10 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     for _ in range(spec.max_edges):
         level = {canonical_graph(h, cap) for g in level for h in _one_edge_more(g, spec)}
         seen |= level
-    yield from sorted(seen, key=format_graph)
+    classes = sorted(seen, key=format_graph, reverse=True)
+    del seen, level
+    while classes:
+        yield classes.pop()
 
 
 def sweep_theorem(
@@ -198,36 +203,68 @@ def _by_field(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def report_to_dict(report: SweepReport) -> dict:
-    """The report as JSON-ready data: each dataclass by its field names, a perm as a list."""
+def _report_parts(report: SweepReport) -> dict:
+    """The report as JSON-ready data by key, its rows and violations as iterators."""
     return {
         "spec": _by_field(report.spec),
-        "rows": [_by_field(row) for row in report.rows],
-        "violations": [_by_field(v) | {"perm": list(v.perm)} for v in report.violations],
+        "rows": map(_by_field, report.rows),
+        "violations": (_by_field(v) | {"perm": list(v.perm)} for v in report.violations),
         "totals": report.totals,
     }
 
 
+def report_to_dict(report: SweepReport) -> dict:
+    """The report as JSON-ready data: each dataclass by its field names, a perm as a list."""
+    return {key: part if isinstance(part, dict) else list(part)
+            for key, part in _report_parts(report).items()}
+
+
+_ENCODE = json.JSONEncoder(indent=2, sort_keys=True).encode  # json.dumps(x, indent=2, sort_keys=True)
+
+
+def _json_chunks(report: SweepReport) -> Iterator[str]:
+    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` and a newline,
+    written key by key and item by item, each item's own dump indented to its depth."""
+    parts = _report_parts(report)
+    for i, key in enumerate(sorted(parts)):
+        yield (",\n" if i else "{\n") + f'  "{key}": '
+        if isinstance(parts[key], dict):
+            yield _ENCODE(parts[key]).replace("\n", "\n  ")
+            continue
+        head = "[\n    "
+        for item in parts[key]:
+            yield head + _ENCODE(item).replace("\n", "\n    ")
+            head = ",\n    "
+        yield "[]" if head.startswith("[") else "\n  ]"
+    yield "\n}\n"
+
+
+def _csv_chunks(report: SweepReport) -> Iterator[str]:
+    # writerow returns what its file's write returns: here, the line itself.
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    yield writer.writerow(field.name for field in fields(SweepRow))
+    for row in report.rows:
+        yield writer.writerow(str(x).lower() if isinstance(x, bool) else x
+                              for x in _by_field(row).values())
+
+
+def report_chunks(report: SweepReport, fmt: str) -> Iterator[str]:
+    """The report in ``fmt``, "json" or "csv", as ASCII text, one row or violation per chunk:
+    sorted keys, fixed bool formatting, LF endings. Any other fmt raises ValueError at once."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    return _json_chunks(report) if fmt == "json" else _csv_chunks(report)
+
+
 def render_report(report: SweepReport, fmt: str) -> bytes:
-    """Bit-stable rendering: sorted keys, fixed bool formatting, LF endings."""
-    if fmt == "json":
-        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-        return text.encode("ascii")
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(field.name for field in fields(SweepRow))
-        for row in report.rows:
-            writer.writerow(str(x).lower() if isinstance(x, bool) else x
-                            for x in _by_field(row).values())
-        return out.getvalue().encode("ascii")
-    raise ValueError(f"unknown report format {fmt!r}")
+    """The whole report in one piece: the joined ``report_chunks``, ASCII-encoded."""
+    return "".join(report_chunks(report, fmt)).encode("ascii")
 
 
 def write_report(report: SweepReport, path: str, fmt: str = "json") -> None:
-    data = render_report(report, fmt)
+    chunks = report_chunks(report, fmt)
     try:
-        with open(path, "wb") as handle:
-            handle.write(data)
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            handle.writelines(chunks)
     except OSError as err:
         raise ReportWriteError(f"cannot write report to {path}: {err}") from err

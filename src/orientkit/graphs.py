@@ -98,11 +98,6 @@ class Graph:
                 out[h] = v
         return tuple(out)
 
-    def is_loop(self, e: int) -> bool:
-        """True iff both half-edges of edge e lie in one vertex block."""
-        a, b = self.edges[e]
-        return self.vertex_of[a] == self.vertex_of[b]
-
     @cached_property
     def multiplicity(self) -> tuple[tuple[int, ...], ...]:
         """M[u][v]: the edges between vertices u and v; a loop adds 2 on the diagonal."""

@@ -7,7 +7,6 @@ a graph.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable
 
 from .limits import excerpt, integer, parse_int
@@ -86,20 +85,6 @@ def cycle_lengths(p: Perm) -> list[int]:
 def sign(p: Perm) -> int:
     """(-1) ** (k - number of cycles); +1 for the empty permutation."""
     return -1 if (len(p) - len(cycles(p))) % 2 else 1
-
-
-def odd_power_normalize(p: Perm) -> tuple[int, Perm]:
-    """Least odd N such that every cycle length of p**N is a power of two.
-
-    N is the lcm of the odd parts of the cycle lengths of p; returns
-    (N, p**N).
-    """
-    n = 1
-    for length in cycle_lengths(p):
-        while length % 2 == 0:
-            length //= 2
-        n = lcm(n, length)
-    return n, power(p, n)
 
 
 def format_perm(p: Perm) -> str:

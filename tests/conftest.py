@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,26 @@ def triangle():
 @pytest.fixture(scope="session")
 def double_edge():
     return parse_graph("halfedges=4; edges=(0 1)(2 3); vertices={0 2}{1 3}")
+
+
+def is_loop(g, e):
+    """True iff both half-edges of edge e lie in one vertex block."""
+    a, b = g.edges[e]
+    return g.vertex_of[a] == g.vertex_of[b]
+
+
+def odd_power_normalize(p):
+    """Least odd N such that every cycle length of p**N is a power of two.
+
+    N is the lcm of the odd parts of the cycle lengths of p; returns
+    (N, p**N).
+    """
+    n = 1
+    for length in perms.cycle_lengths(p):
+        while length % 2 == 0:
+            length //= 2
+        n = lcm(n, length)
+    return n, perms.power(p, n)
 
 
 def graph_from_vertex_pairs(pairs, num_vertices):

@@ -32,6 +32,7 @@ from conftest import (
     complete_graph,
     flower,
     graph_from_vertex_pairs,
+    odd_power_normalize,
     random_images,
     relabel,
     relabelled_copy,
@@ -169,7 +170,7 @@ def test_cycle_data_examples(loop, triangle):
 def test_odd_power_normalize_stays_in_group(corpus3):
     for g, auts in corpus3:
         for a in auts:
-            _, q = perms.odd_power_normalize(a.perm)
+            _, q = odd_power_normalize(a.perm)
             assert is_automorphism(g, q)
 
 

