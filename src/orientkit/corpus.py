@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -222,9 +223,33 @@ def report_to_dict(report: SweepReport) -> dict:
 _ENCODE = json.JSONEncoder(indent=2, sort_keys=True).encode  # json.dumps(x, indent=2, sort_keys=True)
 
 
+def _scalar(x: str | int | bool) -> str:
+    # As json writes it: a str by its C encoder, true or false, an int by repr.
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    return ("true" if x else "false") if isinstance(x, bool) else int.__repr__(x)
+
+
+def _json_item(item: dict) -> str:
+    """``_ENCODE(item)`` indented to depth 2, for a row or violation: a flat dict of
+    str, int and bool, lists of ints included. ``_ENCODE`` builds json's pure-Python
+    indent encoder afresh on every call; this writes each value by ``_scalar``."""
+    lines = []
+    for key in sorted(item):
+        value = item[key]
+        if not isinstance(value, list):
+            text = _scalar(value)
+        elif value:
+            text = "[\n        " + ",\n        ".join(map(_scalar, value)) + "\n      ]"
+        else:
+            text = "[]"
+        lines.append(f"{encode_basestring_ascii(key)}: {text}")
+    return "{\n      " + ",\n      ".join(lines) + "\n    }"
+
+
 def _json_chunks(report: SweepReport) -> Iterator[str]:
     """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` and a newline,
-    written key by key and item by item, each item's own dump indented to its depth."""
+    written key by key and item by item."""
     parts = _report_parts(report)
     for i, key in enumerate(sorted(parts)):
         yield (",\n" if i else "{\n") + f'  "{key}": '
@@ -233,7 +258,7 @@ def _json_chunks(report: SweepReport) -> Iterator[str]:
             continue
         head = "[\n    "
         for item in parts[key]:
-            yield head + _ENCODE(item).replace("\n", "\n    ")
+            yield head + _json_item(item)
             head = ",\n    "
         yield "[]" if head.startswith("[") else "\n  ]"
     yield "\n}\n"

@@ -14,7 +14,10 @@ cycle basis depend on the graph alone: the basis uses the default arrows
 and the default spanning forest, and their choice does not change the
 sign. The tests check that on relabelled copies, since a relabelling can
 put any vertex at the root and flip any arrow. Only theta_s and
-``epsilon_map`` take an arrow arrangement.
+``epsilon_map`` take an arrow arrangement. theta_k's determinant sign is
+memoized on the pair (cycle basis, signed edge action), both tuples of
+ints, which the corpus repeats across classes; ``induced_cycle_matrix``
+solves afresh.
 """
 
 from __future__ import annotations
@@ -198,25 +201,37 @@ def _solve_exact(basis: IntMatrix, image: IntMatrix, k: int) -> IntMatrix:
     return tuple(out)
 
 
-def _cycle_action(g: Graph, perm: Perm, pi: Perm) -> IntMatrix:
-    # perm's matrix on the cycle space, pi its edge action.
-    basis = cycle_basis(g)
+def _edge_moves(g: Graph, perm: Perm, pi: Perm) -> tuple[int, ...]:
+    # perm's edge action pi as a signed permutation: edge f moves onto edge
+    # pi[f] with the arrow-agreement sign there, written (pi[f] + 1) * sign.
+    eps = _arrow_signs(default_arrows(g), perm, pi)
+    return tuple((e + 1) * eps[e] for e in pi)
+
+
+def _cycle_action(basis: IntMatrix, moves: tuple[int, ...]) -> IntMatrix:
+    # The matrix of the signed edge action ``moves`` on the cycle space, in
+    # ``basis``: each basis row moves as a whole, signed on the way.
     k = len(basis[0]) if basis else 0
     if k == 0:
         return ()
-    # The edge action is a signed permutation: edge f moves onto pi[f], with
-    # the arrow-agreement sign there, so each basis row moves as a whole.
-    eps = _arrow_signs(default_arrows(g), perm, pi)
-    image: list[tuple[int, ...]] = [()] * len(g.edges)
-    for f, row in enumerate(basis):
-        image[pi[f]] = tuple(eps[pi[f]] * x for x in row)
+    image: list[tuple[int, ...]] = [()] * len(basis)
+    for row, m in zip(basis, moves):
+        image[abs(m) - 1] = row if m > 0 else tuple(-x for x in row)
     return _solve_exact(basis, tuple(image), k)
+
+
+@lru_cache(maxsize=1024)
+def _cycle_sign(basis: IntMatrix, moves: tuple[int, ...]) -> int:
+    """``det_sign(_cycle_action(basis, moves))``, memoized: the corpus repeats
+    (cycle basis, signed edge action) pairs across classes. The key holds
+    tuples only, never a ``Graph``, so the memo keeps no class alive."""
+    return det_sign(_cycle_action(basis, moves))
 
 
 def induced_cycle_matrix(g: Graph, a: Automorphism) -> IntMatrix:
     """Matrix of the automorphism's action on the cycle space, in the
     basis ``cycle_basis(g)``. Always integral with determinant +-1."""
-    return _cycle_action(g, a.perm, induced_actions(g, a).edge_perm)
+    return _cycle_action(cycle_basis(g), _edge_moves(g, a.perm, induced_actions(g, a).edge_perm))
 
 
 def det_sign(matrix) -> int:
@@ -251,9 +266,9 @@ def det_sign(matrix) -> int:
 
 def theta_k(g: Graph, a: Automorphism) -> int:
     """Kontsevich homomorphism: sign(edge action) * sign(det of cycle action),
-    the latter in the basis ``cycle_basis(g)``."""
+    the latter in the basis ``cycle_basis(g)``, read from ``_cycle_sign``."""
     pi = induced_actions(g, a).edge_perm
-    return perms.sign(pi) * det_sign(_cycle_action(g, a.perm, pi))
+    return perms.sign(pi) * _cycle_sign(cycle_basis(g), _edge_moves(g, a.perm, pi))
 
 
 # --- orientability --------------------------------------------------------

@@ -22,7 +22,9 @@ from orientkit.automorphisms import (
 from orientkit.corpus import (
     CorpusSpec,
     ReportWriteError,
+    SweepReport,
     SweepRow,
+    Violation,
     enumerate_graphs,
     render_report,
     report_chunks,
@@ -322,8 +324,9 @@ def test_count_oracle_matches_disconnected_corpus(allow_loops):
 
 
 # Connected classes on which theta_s is +1 on all of Aut(g), per edge count
-# 1..7, from the signed count below; the sweep side is checked against them.
-# The terms at 8..10 are pinned for sweeps that tier-1 does not run.
+# 1..7, from the signed count below; the sweep side is checked against them
+# and against the term at 8. The terms at 9 and 10 are pinned for sweeps that
+# tier-1 does not run.
 SIGNED_CONNECTED_COUNTS = [1, 0, 3, 5, 15, 53, 169]
 SIGNED_CONNECTED_TERMS_8_10 = [610, 2353, 9397]
 
@@ -419,19 +422,20 @@ def signed_connected_counts(max_edges):
 
 
 def test_signed_count_oracle_matches_the_sweep():
-    # The sweep side: classes of CorpusSpec(7) on which theta_k, and
+    # The sweep side: classes of CorpusSpec(8) on which theta_k, and
     # separately theta_s, is +1 on generators of Aut(g). Loops count there too,
-    # and drop out by themselves.
+    # and drop out by themselves. Level 8 needs the half-edge cap at 16.
     assert signed_connected_counts(10) == SIGNED_CONNECTED_COUNTS + SIGNED_CONNECTED_TERMS_8_10
-    k_side = [0] * len(SIGNED_CONNECTED_COUNTS)
-    s_side = [0] * len(SIGNED_CONNECTED_COUNTS)
-    for g in enumerate_graphs(CorpusSpec(len(SIGNED_CONNECTED_COUNTS))):
-        _, kernel_gens, lifts = vertex_quotient(g)
+    expected = SIGNED_CONNECTED_COUNTS + SIGNED_CONNECTED_TERMS_8_10[:1]
+    k_side = [0] * len(expected)
+    s_side = [0] * len(expected)
+    for g in enumerate_graphs(CorpusSpec(len(expected), max_half_edges=2 * len(expected))):
+        _, kernel_gens, lifts = vertex_quotient(g, 2 * len(expected))
         gens = kernel_gens + lifts
         k_side[len(g.edges) - 1] += all(theta_k(g, a) == 1 for a in gens)
         s_side[len(g.edges) - 1] += all(theta_s(g, a) == 1 for a in gens)
-    assert k_side == SIGNED_CONNECTED_COUNTS
-    assert s_side == SIGNED_CONNECTED_COUNTS
+    assert k_side == expected
+    assert s_side == expected
 
 
 def test_signed_count_oracle_matches_the_disconnected_sweep():
@@ -732,6 +736,18 @@ def test_streamed_report_matches_the_one_piece_oracle(spec, tmp_path):
         else:
             assert len(chunks) == 1 + len(report.rows)
             assert all(chunk.count("\n") == 1 for chunk in chunks)
+
+
+def test_json_report_matches_json_dumps_on_values_no_sweep_gives():
+    # Rows and violations are written value by value, not by json's indent
+    # encoder: check escapes, bools, negative ints and an empty perm against it.
+    canon = 'quote " backslash \\ tab \t accent é'
+    row = SweepRow(canon=canon, v=0, e=0, b1=0, aut=1, orientable_k=True, orientable_s=False,
+                   agree=False)
+    report = SweepReport(CorpusSpec(0), (row,), (Violation(canon, (), -1, 1),
+                                                  Violation(canon, (2, 0, 1), 1, -1)))
+    expected = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert render_report(report, "json") == expected.encode("ascii")
 
 
 def test_write_report_streams_a_large_report(tmp_path):

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from math import factorial, prod
 
@@ -15,6 +17,7 @@ from orientkit.automorphisms import (
     vertex_quotient,
 )
 from orientkit.cli import cli_main
+from orientkit.corpus import sweep_theorem
 from orientkit.graphs import format_graph, merge_classes, spanning_forest, validate
 from orientkit.orientation import (
     SingularBasisError,
@@ -35,6 +38,7 @@ from orientkit.orientation import (
 )
 
 from conftest import (
+    SYMMETRIC,
     complete_graph,
     flower,
     graph_from_vertex_pairs,
@@ -372,6 +376,56 @@ def test_every_theta_value_is_pinned(spec, count, digest):
              for g in enumerate_graphs(spec) for a in enumerate_automorphisms(g)]
     assert len(lines) == count
     assert hashlib.sha256("".join(lines).encode("ascii")).hexdigest() == digest
+
+
+class TestCycleSignMemo:
+    """theta_k reads its det sign from ``_cycle_sign``, memoized on (cycle basis,
+    signed edge action); ``induced_cycle_matrix`` solves afresh, the oracle."""
+
+    def test_memo_matches_the_cycle_matrix_cold_and_warm(self):
+        # Every automorphism of the disconnected |E| <= 4 corpus and of the
+        # symmetric shapes whose groups have under 500 elements; C6x2 and C7x2
+        # alone would add 14 s a pass. The warm pass runs in reverse, so it
+        # starts on the keys that the 1024-entry memo still holds.
+        graphs = [*enumerate_graphs(CorpusSpec(4, connected_only=False)),
+                  *(g for _, g, order in SYMMETRIC if order < 500)]
+        cases = [(g, a) for g in graphs for a in enumerate_automorphisms(g, g.half_edge_count)]
+        memo = orientkit.orientation._cycle_sign
+        memo.cache_clear()
+        for run in (cases, cases[::-1]):
+            before = memo.cache_info()
+            for g, a in run:
+                pi = induced_actions(g, a).edge_perm
+                assert theta_k(g, a) == perms.sign(pi) * det_sign(induced_cycle_matrix(g, a))
+            after = memo.cache_info()
+            assert after.hits + after.misses - before.hits - before.misses == len(cases)
+        assert after.hits - before.hits >= after.maxsize
+
+    def test_memo_counts_on_the_e5_sweep(self):
+        # 305 theta_k evaluations, 77 of them on a (basis, signed action) pair
+        # already seen, on every cold repeat.
+        memo = orientkit.orientation._cycle_sign
+        for _ in range(2):
+            memo.cache_clear()
+            sweep_theorem(CorpusSpec(5))
+            info = memo.cache_info()
+            assert (info.hits, info.misses) == (77, 228)
+
+    def test_memo_keeps_no_graph_alive(self):
+        # Its keys hold tuples only: once the basis cache lets go, every graph
+        # that theta_k saw is freed while the memo still holds its entries.
+        memo = orientkit.orientation._cycle_sign
+        memo.cache_clear()
+        refs = []
+        for g in enumerate_graphs(CorpusSpec(4, connected_only=False)):
+            refs.append(weakref.ref(g))
+            for a in enumerate_automorphisms(g):
+                theta_k(g, a)
+        del g, a
+        cycle_basis.cache_clear()
+        gc.collect()
+        assert memo.cache_info().currsize > 0
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 @pytest.mark.parametrize("basis, message", [
