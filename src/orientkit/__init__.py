@@ -16,7 +16,6 @@ from .corpus import (
     SweepReport,
     enumerate_graphs,
     render_report,
-    report_to_dict,
     sweep_theorem,
     write_report,
 )

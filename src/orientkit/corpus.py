@@ -13,9 +13,9 @@ identical reports.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, fields
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -204,64 +204,7 @@ def _by_field(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _report_parts(report: SweepReport) -> dict:
-    """The report as JSON-ready data by key, its rows and violations as iterators."""
-    return {
-        "spec": _by_field(report.spec),
-        "rows": map(_by_field, report.rows),
-        "violations": (_by_field(v) | {"perm": list(v.perm)} for v in report.violations),
-        "totals": report.totals,
-    }
-
-
-def report_to_dict(report: SweepReport) -> dict:
-    """The report as JSON-ready data: each dataclass by its field names, a perm as a list."""
-    return {key: part if isinstance(part, dict) else list(part)
-            for key, part in _report_parts(report).items()}
-
-
-_ENCODE = json.JSONEncoder(indent=2, sort_keys=True).encode  # json.dumps(x, indent=2, sort_keys=True)
-
-
-def _scalar(x: str | int | bool) -> str:
-    # As json writes it: a str by its C encoder, true or false, an int by repr.
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    return ("true" if x else "false") if isinstance(x, bool) else int.__repr__(x)
-
-
-def _json_item(item: dict) -> str:
-    """``_ENCODE(item)`` indented to depth 2, for a row or violation: a flat dict of
-    str, int and bool, lists of ints included. ``_ENCODE`` builds json's pure-Python
-    indent encoder afresh on every call; this writes each value by ``_scalar``."""
-    lines = []
-    for key in sorted(item):
-        value = item[key]
-        if not isinstance(value, list):
-            text = _scalar(value)
-        elif value:
-            text = "[\n        " + ",\n        ".join(map(_scalar, value)) + "\n      ]"
-        else:
-            text = "[]"
-        lines.append(f"{encode_basestring_ascii(key)}: {text}")
-    return "{\n      " + ",\n      ".join(lines) + "\n    }"
-
-
-def _json_chunks(report: SweepReport) -> Iterator[str]:
-    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` and a newline,
-    written key by key and item by item."""
-    parts = _report_parts(report)
-    for i, key in enumerate(sorted(parts)):
-        yield (",\n" if i else "{\n") + f'  "{key}": '
-        if isinstance(parts[key], dict):
-            yield _ENCODE(parts[key]).replace("\n", "\n  ")
-            continue
-        head = "[\n    "
-        for item in parts[key]:
-            yield head + _json_item(item)
-            head = ",\n    "
-        yield "[]" if head.startswith("[") else "\n  ]"
-    yield "\n}\n"
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, default=_by_field)
 
 
 def _csv_chunks(report: SweepReport) -> Iterator[str]:
@@ -274,11 +217,16 @@ def _csv_chunks(report: SweepReport) -> Iterator[str]:
 
 
 def report_chunks(report: SweepReport, fmt: str) -> Iterator[str]:
-    """The report in ``fmt``, "json" or "csv", as ASCII text, one row or violation per chunk:
-    sorted keys, fixed bool formatting, LF endings. Any other fmt raises ValueError at once."""
+    """The report in ``fmt``, "json" or "csv", as ASCII text in small chunks: sorted keys,
+    fixed bool formatting, LF endings. The JSON is ``json.dumps(report, indent=2,
+    sort_keys=True)`` and a newline, each dataclass as a dict of its fields and ``totals``
+    added; json's encoder walks the rows and violations lazily. The CSV has one line per
+    chunk. Any other fmt raises ValueError at once."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
-    return _json_chunks(report) if fmt == "json" else _csv_chunks(report)
+    if fmt == "csv":
+        return _csv_chunks(report)
+    return itertools.chain(_JSON.iterencode(_by_field(report) | {"totals": report.totals}), "\n")
 
 
 def render_report(report: SweepReport, fmt: str) -> bytes:
