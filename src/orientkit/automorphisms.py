@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import factorial, prod
+from operator import itemgetter
 
 from . import perms
 from .graphs import (Graph, NotAnAutomorphism, is_automorphism, paired_graph, spanning_forest,
@@ -39,77 +41,44 @@ def as_automorphism(g: Graph, p: Perm) -> Automorphism:
 def enumerate_automorphisms(g: Graph, max_half_edges: int | None = None) -> list[Automorphism]:
     """The full group Aut(g), in lexicographic order of the image lists.
 
-    Backtracking over half-edge images: a candidate must sit in a vertex
-    block compatible with the partial map and share the (vertex valence,
-    vertex loop count, on-a-loop) signature of its preimage. Half-edges are
-    assigned vertex by vertex in the visiting order of
-    ``graphs.spanning_forest``, the one traversal shared with the cycle
-    basis, each followed by its partner; so past a component's root every
-    vertex's image is forced by an edge already mapped. The automorphisms
-    are then sorted. Raises ``SizeLimitExceeded`` above the half-edge cap.
+    Every automorphism is lift(sigma) after k for exactly one sigma in
+    Aut(M), the ``_vertex_actions`` of g, and one k in the kernel K (see
+    ``vertex_quotient``). K flips any set of loops and then sends each
+    bundle's edges to one another in any order. The 2^l flips of l loops
+    are kept as index maps; the permutations are generated afresh for each
+    sigma and never kept. Raises ``SizeLimitExceeded`` above the half-edge cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
     n = g.half_edge_count
-    partner = g.partner
+    if not n:  # the empty graph; itemgetter needs an index
+        return [Automorphism(())]
+    bundles = _bundles(g)
     vertex_of = g.vertex_of
-    nv = len(g.vertices)
-    vsig = [(len(g.vertices[v]), g.loop_count(v)) for v in range(nv)]
-    hsig = [(vsig[vertex_of[h]], vertex_of[h] == vertex_of[partner[h]]) for h in range(n)]
-
-    # Each vertex's half-edges in ascending order, each followed by its
-    # partner; a half-edge met again as a partner is not assigned twice.
-    order = list(dict.fromkeys(
-        x for v in spanning_forest(g)[0] for h in g.vertices[v] for x in (h, partner[h])))
-
-    img = [-1] * n
-    used = [False] * n
-    vimg = [-1] * nv
-    vtaken = [False] * nv
+    flips = [tuple(range(n))]
+    for a, b in g.edges:  # a < b, as in every normalized edge
+        if vertex_of[a] == vertex_of[b]:
+            flips += [f[:a] + (f[b],) + f[a + 1:b] + (f[a],) + f[b + 1:] for f in flips]
+    flips = [itemgetter(*f) for f in flips]
+    moving = [edges for edges in bundles.values() if len(edges) > 1]
     found: list[Perm] = []
-
-    def extend(i: int) -> None:
-        if i == n:
-            found.append(tuple(img))
-            return
-        h = order[i]
-        hv = vertex_of[h]
-        p = partner[h]
-        if img[p] >= 0:
-            cands: tuple[int, ...] | range = (partner[img[p]],)
-        elif vimg[hv] >= 0:
-            cands = g.vertices[vimg[hv]]
-        else:
-            cands = range(n)
-        for x in cands:
-            if used[x] or hsig[x] != hsig[h]:
-                continue
-            xv = vertex_of[x]
-            if vimg[hv] >= 0:
-                if xv != vimg[hv]:
-                    continue
-            elif vtaken[xv]:
-                continue
-            img[h] = x
-            used[x] = True
-            fresh = vimg[hv] < 0
-            if fresh:
-                vimg[hv] = xv
-                vtaken[xv] = True
-            extend(i + 1)
-            if fresh:
-                vimg[hv] = -1
-                vtaken[xv] = False
-            img[h] = -1
-            used[x] = False
-
-    extend(0)
-    # extend reaches itself through its closure; dropping the name breaks
-    # that cycle, so the search state is freed now, not at a full collection.
-    del extend
-    # The search order follows the edges, not the ids, so the image lists
-    # arrive unsorted; callers and witnesses rely on lexicographic order.
+    for sigma in _vertex_actions(g):
+        lift = _lift(bundles, sigma, n)
+        found += (flip(p) for p in _permuted(moving, lift, list(lift)) for flip in flips)
     found.sort()
     return [Automorphism(p) for p in found]
+
+
+def _permuted(moving: list[list[tuple[int, int]]], lift: Perm, img: list[int]):
+    """The image lists of ``lift`` after each way to send the edges of each
+    bundle in ``moving`` to one another, as tuples; ``img`` is overwritten."""
+    if not moving:
+        yield tuple(img)
+        return
+    edges = moving[0]
+    for p in permutations(edges):
+        for (a, b), (c, d) in zip(edges, p):
+            img[a], img[b] = lift[c], lift[d]
+        yield from _permuted(moving[1:], lift, img)
 
 
 def induced_actions(g: Graph, a: Automorphism) -> InducedActions:
@@ -167,19 +136,8 @@ def vertex_quotient(
     Raises ``SizeLimitExceeded`` if g is above the half-edge cap.
     """
     check_half_edges(g.half_edge_count, max_half_edges)
-    vertex_of = g.vertex_of
     nv = len(g.vertices)
-
-    def bundle(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u <= v else (v, u)
-
-    # Bundle (u, v), u <= v, holds its edges in id order, each as
-    # (half-edge at u, half-edge at v); a loop keeps its half-edge order.
-    bundles: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, b in g.edges:
-        u, v = vertex_of[a], vertex_of[b]
-        bundles.setdefault(bundle(u, v), []).append((a, b) if u <= v else (b, a))
-
+    bundles = _bundles(g)
     mult = g.multiplicity
     classes = twin_classes(mult)
     k = len(classes)
@@ -220,16 +178,58 @@ def vertex_quotient(
         if u == v:
             kernel_gens.append(swap([edges[0]]))
         kernel_gens += (swap(zip(e, f)) for e, f in zip(edges[:1], edges[1:2]))
+    lifts = [Automorphism(_lift(bundles, s, g.half_edge_count)) for s in aut_m_gens]
+    return kernel_order * aut_m_order, kernel_gens, lifts
 
-    def lift(sigma: Perm) -> Automorphism:
-        img = [0] * g.half_edge_count
-        for (u, v), edges in bundles.items():
-            su, sv = sigma[u], sigma[v]
-            for (a, b), (c, d) in zip(edges, bundles[bundle(su, sv)]):
-                img[a], img[b] = (c, d) if su <= sv else (d, c)
-        return Automorphism(tuple(img))
 
-    return kernel_order * aut_m_order, kernel_gens, [lift(s) for s in aut_m_gens]
+def _bundles(g: Graph) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Bundle (u, v), u <= v: the edges between u and v in id order, each as
+    (half-edge at u, half-edge at v); a loop keeps its half-edge order."""
+    bundles: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, b in g.edges:
+        u, v = g.vertex_of[a], g.vertex_of[b]
+        bundles.setdefault((u, v) if u <= v else (v, u), []).append((a, b) if u <= v else (b, a))
+    return bundles
+
+
+def _lift(bundles: dict[tuple[int, int], list[tuple[int, int]]], sigma: Perm, n: int) -> Perm:
+    """The image list of sigma's lift to the n half-edges (see ``vertex_quotient``)."""
+    img = [0] * n
+    for (u, v), edges in bundles.items():
+        su, sv = sigma[u], sigma[v]
+        for (a, b), (c, d) in zip(edges, bundles[(su, sv) if su <= sv else (sv, su)]):
+            img[a], img[b] = (c, d) if su <= sv else (d, c)
+    return tuple(img)
+
+
+def _vertex_actions(g: Graph) -> list[Perm]:
+    """Aut(M) for M = ``g.multiplicity``: each vertex permutation sigma with
+    M[sigma(u)][sigma(v)] == M[u][v] for all u, v. Backtracking places the
+    vertices in ``graphs.spanning_forest`` order, each image matching the
+    vertex's valence, loops and multiplicity to every vertex placed before."""
+    mult = g.multiplicity
+    order = spanning_forest(g)[0]
+    key = [(len(block), mult[v][v]) for v, block in enumerate(g.vertices)]
+    steps = [(w, [x for x, k in enumerate(key) if k == key[w]], [mult[w][u] for u in order[:i]])
+             for i, w in enumerate(order)]
+    found: list[Perm] = []
+    _place(mult, steps, [], [-1] * len(mult), found)
+    return found
+
+
+def _place(mult, steps: list, images: list[int], sigma: list[int], found: list[Perm]) -> None:
+    # Place the vertex of steps[len(images)], the vertices before it sent to
+    # ``images``; each completed sigma is appended to ``found``.
+    if len(images) == len(steps):
+        found.append(tuple(sigma))
+        return
+    w, candidates, row = steps[len(images)]
+    for x in candidates:
+        if x not in images and [mult[x][s] for s in images] == row:
+            sigma[w] = x
+            images.append(x)
+            _place(mult, steps, images, sigma, found)
+            images.pop()
 
 
 @lru_cache(maxsize=1024)

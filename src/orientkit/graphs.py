@@ -107,9 +107,6 @@ class Graph:
             out[self.vertex_of[b]][self.vertex_of[a]] += 1
         return tuple(map(tuple, out))
 
-    def loop_count(self, v: int) -> int:
-        return self.multiplicity[v][v] // 2
-
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         """Partition of vertex ids into components, ordered by minimal id."""
         root = merge_classes(

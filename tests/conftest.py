@@ -7,7 +7,10 @@ import pytest
 
 from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, parse_graph, validate
 from orientkit import perms
-from orientkit.automorphisms import as_automorphism
+from orientkit.automorphisms import Automorphism, as_automorphism
+from orientkit.graphs import Graph, spanning_forest
+from orientkit.limits import check_half_edges
+from orientkit.perms import Perm
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -50,6 +53,83 @@ def odd_power_normalize(p):
             length //= 2
         n = lcm(n, length)
     return n, perms.power(p, n)
+
+
+def search_automorphisms(g: Graph, max_half_edges: int | None = None) -> list[Automorphism]:
+    """Oracle: the full group Aut(g), in lexicographic order of the image lists,
+    found without the vertex quotient that ``enumerate_automorphisms`` reads.
+
+    Backtracking over half-edge images: a candidate must sit in a vertex
+    block compatible with the partial map and share the (vertex valence,
+    vertex loop count, on-a-loop) signature of its preimage. Half-edges are
+    assigned vertex by vertex in the visiting order of
+    ``graphs.spanning_forest``, the one traversal shared with the cycle
+    basis, each followed by its partner; so past a component's root every
+    vertex's image is forced by an edge already mapped. The automorphisms
+    are then sorted. Raises ``SizeLimitExceeded`` above the half-edge cap.
+    """
+    check_half_edges(g.half_edge_count, max_half_edges)
+    n = g.half_edge_count
+    partner = g.partner
+    vertex_of = g.vertex_of
+    nv = len(g.vertices)
+    vsig = [(len(g.vertices[v]), g.multiplicity[v][v] // 2) for v in range(nv)]
+    hsig = [(vsig[vertex_of[h]], vertex_of[h] == vertex_of[partner[h]]) for h in range(n)]
+
+    # Each vertex's half-edges in ascending order, each followed by its
+    # partner; a half-edge met again as a partner is not assigned twice.
+    order = list(dict.fromkeys(
+        x for v in spanning_forest(g)[0] for h in g.vertices[v] for x in (h, partner[h])))
+
+    img = [-1] * n
+    used = [False] * n
+    vimg = [-1] * nv
+    vtaken = [False] * nv
+    found: list[Perm] = []
+
+    def extend(i: int) -> None:
+        if i == n:
+            found.append(tuple(img))
+            return
+        h = order[i]
+        hv = vertex_of[h]
+        p = partner[h]
+        if img[p] >= 0:
+            cands: tuple[int, ...] | range = (partner[img[p]],)
+        elif vimg[hv] >= 0:
+            cands = g.vertices[vimg[hv]]
+        else:
+            cands = range(n)
+        for x in cands:
+            if used[x] or hsig[x] != hsig[h]:
+                continue
+            xv = vertex_of[x]
+            if vimg[hv] >= 0:
+                if xv != vimg[hv]:
+                    continue
+            elif vtaken[xv]:
+                continue
+            img[h] = x
+            used[x] = True
+            fresh = vimg[hv] < 0
+            if fresh:
+                vimg[hv] = xv
+                vtaken[xv] = True
+            extend(i + 1)
+            if fresh:
+                vimg[hv] = -1
+                vtaken[xv] = False
+            img[h] = -1
+            used[x] = False
+
+    extend(0)
+    # extend reaches itself through its closure; dropping the name breaks
+    # that cycle, so the search state is freed now, not at a full collection.
+    del extend
+    # The search order follows the edges, not the ids, so the image lists
+    # arrive unsorted; callers and witnesses rely on lexicographic order.
+    found.sort()
+    return [Automorphism(p) for p in found]
 
 
 def graph_from_vertex_pairs(pairs, num_vertices):

@@ -27,7 +27,8 @@ from orientkit.orientation import (
     theta_s,
 )
 
-from conftest import complete_graph, is_loop, odd_power_normalize, random_images, relabelled_copy
+from conftest import (complete_graph, is_loop, odd_power_normalize, random_images, relabelled_copy,
+                      search_automorphisms)
 from test_orientation import det_bruteforce, signed_edge_matrix
 
 SEED = 20260810
@@ -169,8 +170,9 @@ def test_criterion_8_orbit_oracle_equivalence(corpus5):
         if len(g.vertices) > 6:
             continue
         checked += 1
+        auts = search_automorphisms(g)  # the oracle's group, not the listing's
         for theta in ThetaHom:
-            _, z2_free, _ = or_orbits_bruteforce(g, theta)
+            _, z2_free, _ = or_orbits_bruteforce(g, theta, auts)
             verdict = orientability(g, theta).verdict
             ok = ok and z2_free == (verdict is Verdict.ORIENTABLE)
     _check(

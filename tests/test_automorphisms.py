@@ -3,6 +3,8 @@ import gc
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -37,6 +39,7 @@ from conftest import (
     random_images,
     relabel,
     relabelled_copy,
+    search_automorphisms,
 )
 
 
@@ -236,28 +239,67 @@ def test_empty_graph_group():
     assert [a.perm for a in auts] == [()]
 
 
-def test_search_leaves_no_reference_cycle(triangle):
+def test_search_leaves_no_reference_cycle(triangle, double_edge):
     # A cycle would keep the search state alive until a full collection.
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        enumerate_automorphisms(triangle)
+        for g in (triangle, double_edge, flower(3)):
+            enumerate_automorphisms(g)
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
 
 
+ORACLE_CASES = {
+    "e5": lambda request: enumerate_graphs(CorpusSpec(5)),
+    "e5-no-loops": lambda request: enumerate_graphs(CorpusSpec(5, allow_loops=False)),
+    "e5-disconnected": lambda request: enumerate_graphs(CorpusSpec(5, connected_only=False)),
+    "e6": lambda request: enumerate_graphs(CorpusSpec(6)),
+    "relabelled-shapes": lambda request: request.getfixturevalue("relabelled_shapes"),
+    "twin-rich": lambda request: [g for _, g, _ in TWIN_RICH if g.half_edge_count <= 12],
+    "symmetric": lambda request: [g for _, g, _ in SYMMETRIC if g.half_edge_count <= 30],
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_listing_matches_the_search_oracle(case, request):
+    # The quotient-built listing and the half-edge search share no code past
+    # the graph itself, so equal lists, in the same order, pin both.
+    for g in ORACLE_CASES[case](request):
+        cap = max(g.half_edge_count, 14)
+        assert enumerate_automorphisms(g, cap) == search_automorphisms(g, cap)
+
+
+def test_listing_keeps_no_more_than_its_result():
+    # K is generated afresh for each vertex action, so the listing peaks at
+    # little more than the list it returns: for the 6-loop flower, whose
+    # 46,080 automorphisms all fix its vertex, a listing that kept K beside
+    # the result would peak at about twice that.
+    g = flower(6)
+    g.multiplicity, g.vertex_of  # built before the trace
+    tracemalloc.start()
+    try:
+        auts = enumerate_automorphisms(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sys.getsizeof(auts) + sum(sys.getsizeof(a) + sys.getsizeof(a.perm) for a in auts)
+    assert len(auts) == 46080
+    assert peak <= 1.25 * held
+
+
 def image_lists(g):
-    return [a.perm for a in enumerate_automorphisms(g)]
+    return [a.perm for a in search_automorphisms(g)]
 
 
 def assert_conjugates_generate(g, kernel_gens, lifts):
-    """The two facts the sweep relies on, checked against the enumerated group:
+    """The two facts the sweep relies on, checked against the oracle's group:
     the conjugates of the kernel generators generate K, the elements that fix
     every vertex, and the conjugates of both lists generate Aut(g)."""
-    auts = enumerate_automorphisms(g)
+    auts = search_automorphisms(g)
     group = [a.perm for a in auts]
 
     def normal_closure(gens):
@@ -378,7 +420,7 @@ def test_vertex_quotient_on_symmetric_shapes(g, order, lift_count, monkeypatch):
     if lift_count is not None:
         assert len(lifts) == lift_count
     if cap <= 30:  # above that, as for Q3x2's 196,608 elements, the closed form alone
-        assert len(enumerate_automorphisms(g)) == order
+        assert len(search_automorphisms(g)) == order
     kept = kernel_gens + lifts
     assert all(is_automorphism(g, a.perm) for a in kept)
     assert all(fixes_every_vertex(g, a) for a in kernel_gens)

@@ -363,6 +363,8 @@ CI_GRAPHS = {
              "halfedges=12; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11); "
              "vertices={0 2 9 11}{1 3 4 6}{5 7 8 10}"],
     "triangle": ["halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}"],
+    "apart": ["halfedges=8; edges=(0 1)(2 3)(4 5)(6 7); vertices={0 2}{1 3}{4 6}{5 7}",
+              "halfedges=4; edges=(0 1)(2 3); vertices={0 1}{2 3}"],
 }
 
 # Each of the smoke test's sub-second pins: the sha256 of stdout, text that
@@ -388,6 +390,8 @@ CI_PINS = [
     ("aut small", "sha256", "1e6e6b563b6a74de1ceef7472bd6edd8ad3e9defcc8988f0191614547c9bfc87"),
     ("aut triangle", "sha256",
      "1f8ae94b9d827c3b1c894fede9eda7aabf321ec5992d947bf135a7babeb71af2"),
+    ("aut rank", "sha256", "e0e038cddb224a0cc60a5bfb92987b561a72f7b376001223a7da1a67c64aec3a"),
+    ("aut apart", "sha256", "7c5c0304f2f033eb555d0ef1764a85e545e03e8f57f3724140654fe4c41da3a4"),
 ]
 
 

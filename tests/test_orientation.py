@@ -45,6 +45,7 @@ from conftest import (
     random_images,
     relabel,
     relabelled_copy,
+    search_automorphisms,
 )
 
 
@@ -85,7 +86,7 @@ def or_orbits_union_find(g, theta):
     nv = len(g.vertices)
     actions = [
         (perms.inverse(induced_actions(g, a).vertex_perm), theta(g, a))
-        for a in enumerate_automorphisms(g)
+        for a in search_automorphisms(g)
     ]
     taus = list(itertools.permutations(range(1, nv + 1)))
     pairs = [(tau, eps) for tau in taus for eps in (1, -1)]
