@@ -16,7 +16,8 @@ from .automorphisms import as_automorphism, enumerate_automorphisms, induced_act
 from .corpus import CorpusSpec, ReportWriteError, report_chunks, sweep_theorem, write_report
 from .families import Family, eq1_check, family_instances, verify_family
 from .graphs import Graph, GraphError, format_graph, orbit_contraction, parse_graph
-from .limits import MAX_DIGITS, CapSettingError, SizeLimitExceeded, excerpt, parse_int
+from .limits import (MAX_DIGITS, CapSettingError, SizeLimitExceeded, check_orbit_vertices, excerpt,
+                     parse_int)
 from .orientation import (
     ThetaHom,
     or_orbits_bruteforce,
@@ -126,7 +127,10 @@ def _cmd_theta(args) -> int:
 
 def _cmd_orient(args) -> int:
     theta = ThetaHom(args.theta)
-    for g in _read_graphs(args.file):
+    graphs = _read_graphs(args.file)
+    if args.bruteforce:  # refuse an oversized graph before the first verdict
+        check_orbit_vertices(max(len(g.vertices) for g in graphs))
+    for g in graphs:
         report = orientability(g, theta)
         line = f"theta={theta.name} verdict={report.verdict.name}"
         if report.witness is not None:

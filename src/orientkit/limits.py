@@ -1,5 +1,5 @@
-"""Size caps: half-edges for the exhaustive searches, n for the families, digits for
-integers read from text."""
+"""Size caps: half-edges for the exhaustive searches, vertices for the orbit oracle, n for
+the families, digits for integers read from text."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ DEFAULT_MAX_HALF_EDGES = 14
 ENV_VAR = "ORIENTKIT_MAX_HALFEDGES"
 # Family instances have 2**(n+1) half-edges; n = 12 builds in tens of milliseconds.
 MAX_FAMILY_N = 12
+MAX_ORBIT_VERTICES = 8  # the brute-force orbit oracle enumerates all 8! = 40,320 taus
 
 # A valid graph's half-edge count and ids are below its text's length, so
 # no graph needs longer integers, and int() never meets Python's digit limit.
@@ -26,6 +27,12 @@ class SizeLimitExceeded(RuntimeError):
 
 class CapSettingError(ValueError):
     """The environment variable that sets the cap does not hold an integer >= 0."""
+
+
+def check_orbit_vertices(count: int) -> None:
+    if count > MAX_ORBIT_VERTICES:
+        raise SizeLimitExceeded(
+            f"brute-force orbit search limited to {MAX_ORBIT_VERTICES} vertices, got {count}")
 
 
 def excerpt(text: str) -> str:

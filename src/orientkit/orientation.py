@@ -28,12 +28,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Callable
 
 from .automorphisms import Automorphism, enumerate_automorphisms, induced_actions
 from .graphs import Graph, spanning_forest
-from .limits import SizeLimitExceeded, integer
+from .limits import check_orbit_vertices, integer
 from . import perms
 from .perms import Perm
 
@@ -318,53 +318,52 @@ def or_orbits_bruteforce(
     for ``orientability``: theta is any ``ThetaFn``, evaluated once on each of
     ``auts``, a group (default: ``enumerate_automorphisms(g)``).
 
-    The distinct (inverse vertex action, theta value) pairs act as the group
-    does, and freely on taus: each image of tau occurs once if the flip moves
-    the orbit of (tau, +1), else twice, once with each sign. The flip commutes
-    with every action, so in the first case the orbit of (tau, -1) is the sorted
-    orbit with every sign flipped. An orbit pair costs one image per action and
-    one sort: |V|! images in all, or 2 * |V|! when the flip fixes orbits. Raises
-    ``RuntimeError`` unless (identity, +1) is an action, no orbit meets an
-    earlier one, and each orbit's images are all distinct or each there once
-    with each sign: a guard against a broken list, not a full group check.
+    The distinct (inverse vertex action, theta value) pairs act freely on taus;
+    relabeling tau along sigma sends w to tau[sigma^-1(w)]. An orbit is built
+    from its head, the tau preceding all its images: tau precedes its image
+    under inv iff tau[w] < tau[inv[w]] at the first vertex w inv moves, so one
+    comparison per distinct (w, inv[w]) filters the heads from the
+    permutations. Each action maps all heads at once, or, with more actions
+    than heads, one index map gives a head's images. The flip commutes with
+    the actions: if each vertex action has one sign, the orbit of (head, -1)
+    is that of (head, +1) with signs flipped, else each orbit holds both: |V|!
+    images, a sort or two per head, none below three vertex actions. Raises
+    ``RuntimeError`` unless (identity, +1) is an action, each vertex action
+    has one sign or each both, heads times vertex actions number |V|!, and
+    the images cover all |V|! taus: a guard for a broken list, not a group check.
     """
     nv = len(g.vertices)
-    if nv > 8:
-        raise SizeLimitExceeded(f"brute-force orbit search limited to 8 vertices, got {nv}")
+    check_orbit_vertices(nv)
     if auts is None:
         auts = enumerate_automorphisms(g)
-    actions = dict.fromkeys(
-        (perms.inverse(induced_actions(g, a).vertex_perm), theta(g, a)) for a in auts
-    )
-    # With the action on taus free, this is each orbit holding its first pair.
-    if (perms.identity(nv), 1) not in actions:
+    pairs = {(perms.inverse(induced_actions(g, a).vertex_perm), theta(g, a)) for a in auts}
+    actions = sorted(pairs)  # the identity, the least vertex action, comes first
+    invs = list(dict.fromkeys(inv for inv, _ in actions))
+    free = len(invs) == len(actions)
+    if (perms.identity(nv), 1) not in pairs or not free and 2 * len(invs) != len(actions):
         raise RuntimeError("automorphism actions do not form a group")
-    # Relabeling tau along sigma sends sigma[v] to tau[v], so w to
-    # tau[sigma^-1(w)]. itemgetter returns a bare item for one index, but
-    # below two vertices every vertex action is the identity.
-    movers = [itemgetter(*inv) if nv > 1 else tuple for inv, _ in actions]
-    values = [value for _, value in actions]
-
-    covered: set[Perm] = set()  # the taus whose pairs with both signs lie in listed orbits
-    orbits: list[tuple[tuple[Perm, int], ...]] = []
-    z2_free = True
-    for tau in itertools.permutations(range(1, nv + 1)):
-        if tau in covered:
-            continue
-        images = [move(tau) for move in movers]
-        orbit = tuple(sorted(zip(images, values)))
-        before = len(covered)
-        covered.update(images)
-        new = len(covered) - before
-        if new == len(images):
-            # Images distinct: the orbit of (tau, -1), next in order, is this one flipped.
-            orbits += orbit, tuple([(t, -e) for t, e in orbit])
-        elif 2 * new == len(images) == 2 * len(set(images)):
-            # Each image twice, once with each sign: the flip fixes this orbit.
-            orbits.append(orbit)
-            z2_free = False
-        else:
-            raise RuntimeError("automorphism actions do not form a group")
-    if len(covered) != factorial(nv):
+    heads, fixing = itertools.permutations(range(1, nv + 1)), invs
+    for w in range(nv):  # fixing: the inverse actions that fix every vertex before w
+        for x in sorted({inv[w] for inv in fixing} - {w}):
+            heads = [tau for tau in heads if tau[w] < tau[x]]
+        fixing = [inv for inv in fixing if inv[w] == w]
+    heads = list(heads)
+    if len(invs) > len(heads):  # few large orbits
+        every = itemgetter(*itertools.chain.from_iterable(inv for inv, _ in actions))
+        images = [list(zip(*[iter(every(tau))] * nv)) for tau in heads]
+        values = [value for _, value in actions]
+        orbits = [tuple(sorted(zip(row, values))) for row in images]
+        flips = (tuple(zip(map(itemgetter(0), o), map(neg, map(itemgetter(1), o)))) for o in orbits)
+    else:  # many small orbits; itemgetter(*inv) is a tuple for two or more vertices
+        images = [heads] + [list(map(itemgetter(*inv), heads)) for inv in invs[1:]]
+        column = dict(zip(invs, images))
+        orbits, flips = (zip(*[zip(column[inv], itertools.repeat(s * v)) for inv, v in actions])
+                         for s in (1, -1))
+        if len(invs) > 2:  # else the head precedes its one other image: rows arrive sorted
+            orbits, flips = (map(tuple, map(sorted, rows)) for rows in (orbits, flips))
+        orbits = list(orbits)
+    n = factorial(nv)
+    if len(heads) * len(invs) != n or len(set(itertools.chain.from_iterable(images))) != n:
         raise RuntimeError("automorphism actions do not form a group")
-    return len(orbits), z2_free, tuple(orbits)
+    orbits = tuple(itertools.chain.from_iterable(zip(orbits, flips)) if free else orbits)
+    return len(orbits), free, orbits

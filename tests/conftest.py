@@ -1,15 +1,17 @@
 import importlib.util
+import itertools
 import random
-from math import lcm
+from math import factorial, lcm
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
 from orientkit import CorpusSpec, enumerate_automorphisms, enumerate_graphs, parse_graph, validate
 from orientkit import perms
-from orientkit.automorphisms import Automorphism, as_automorphism
+from orientkit.automorphisms import Automorphism, as_automorphism, induced_actions
 from orientkit.graphs import Graph, spanning_forest
-from orientkit.limits import check_half_edges
+from orientkit.limits import check_half_edges, check_orbit_vertices
 from orientkit.perms import Perm
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -130,6 +132,63 @@ def search_automorphisms(g: Graph, max_half_edges: int | None = None) -> list[Au
     # arrive unsorted; callers and witnesses rely on lexicographic order.
     found.sort()
     return [Automorphism(p) for p in found]
+
+
+def or_orbits_literal(g: Graph, theta, auts: list[Automorphism] | None = None):
+    """Oracle: ``or_orbits_bruteforce``'s output, found by walking all |V|! taus.
+
+    Each tau that no listed orbit holds starts a new orbit: its image under
+    every distinct (inverse vertex action, theta value) pair, sorted. If the
+    images are distinct, the orbit of (tau, -1) is the same list with every
+    sign flipped; if each is there twice, once with each sign, the flip fixes
+    the orbit. Raises ``RuntimeError`` unless (identity, +1) is an action, no
+    orbit meets an earlier one, each orbit's images are distinct or doubled,
+    and the orbits cover all |V|! taus.
+    """
+    nv = len(g.vertices)
+    check_orbit_vertices(nv)
+    if auts is None:
+        auts = enumerate_automorphisms(g)
+    actions = dict.fromkeys(
+        (perms.inverse(induced_actions(g, a).vertex_perm), theta(g, a)) for a in auts
+    )
+    if (perms.identity(nv), 1) not in actions:
+        raise RuntimeError("automorphism actions do not form a group")
+    # itemgetter returns a bare item for one index, but below two vertices
+    # every vertex action is the identity.
+    movers = [itemgetter(*inv) if nv > 1 else tuple for inv, _ in actions]
+    values = [value for _, value in actions]
+
+    covered: set[Perm] = set()  # the taus whose pairs with both signs lie in listed orbits
+    orbits: list[tuple[tuple[Perm, int], ...]] = []
+    z2_free = True
+    for tau in itertools.permutations(range(1, nv + 1)):
+        if tau in covered:
+            continue
+        images = [move(tau) for move in movers]
+        orbit = tuple(sorted(zip(images, values)))
+        before = len(covered)
+        covered.update(images)
+        new = len(covered) - before
+        if new == len(images):
+            orbits += orbit, tuple([(t, -e) for t, e in orbit])
+        elif 2 * new == len(images) == 2 * len(set(images)):
+            orbits.append(orbit)
+            z2_free = False
+        else:
+            raise RuntimeError("automorphism actions do not form a group")
+    if len(covered) != factorial(nv):
+        raise RuntimeError("automorphism actions do not form a group")
+    return len(orbits), z2_free, tuple(orbits)
+
+
+def path_graph(n):
+    return graph_from_vertex_pairs([(i, i + 1) for i in range(n - 1)], n)
+
+
+def star(k):
+    """K_{1,k}: vertex 0 joined to each of k leaves."""
+    return graph_from_vertex_pairs([(0, i) for i in range(1, k + 1)], k + 1)
 
 
 def graph_from_vertex_pairs(pairs, num_vertices):

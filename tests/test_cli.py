@@ -22,10 +22,13 @@ def loop_file(tmp_path):
     return str(path)
 
 
+TRIANGLE = "halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}"
+
+
 @pytest.fixture
 def triangle_file(tmp_path):
     path = tmp_path / "triangle.graph"
-    path.write_text("halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}\n")
+    path.write_text(TRIANGLE + "\n")
     return str(path)
 
 
@@ -116,6 +119,31 @@ def test_orient_bruteforce_runs_oracle_once_per_graph(tmp_path, monkeypatch, cap
     assert len(calls) == 2
     assert sorted(listed.values()) == [1, 1]
     assert capsys.readouterr().out.count("z2_free=") == 2
+
+
+# Seven disjoint edges: 14 half-edges, within the half-edge cap, but 14
+# vertices, above the orbit oracle's 8; Aut(g) has 645,120 elements.
+APART = ("halfedges=14; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13); "
+         "vertices=" + "".join(f"{{{h}}}" for h in range(14)))
+
+
+@pytest.mark.parametrize("lines", [[APART], [TRIANGLE, APART]], ids=["alone", "second"])
+def test_orient_bruteforce_refuses_a_large_graph_before_any_verdict(
+        tmp_path, monkeypatch, capsys, lines):
+    path = tmp_path / "apart.graph"
+    path.write_text("".join(line + "\n" for line in lines))
+    calls = []
+    real = orientkit.cli.orientability
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orientkit.cli, "orientability", counting)
+    assert cli_main(["orient", str(path), "--bruteforce"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, calls) == ("", [])
+    assert err == "error: brute-force orbit search limited to 8 vertices, got 14\n"
 
 
 @pytest.mark.parametrize("flag, name", [("k", "theta_k"), ("s", "theta_s"),
@@ -363,6 +391,10 @@ CI_GRAPHS = {
              "halfedges=12; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11); "
              "vertices={0 2 9 11}{1 3 4 6}{5 7 8 10}"],
     "triangle": ["halfedges=6; edges=(0 1)(2 3)(4 5); vertices={5 0}{1 2}{3 4}"],
+    "eight": ["halfedges=14; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13); "
+              "vertices={0}{1 2}{3 4}{5 6}{7 8}{9 10}{11 12}{13}",
+              "halfedges=14; edges=(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13); "
+              "vertices={0 2 4 6 8 10 12}{1}{3}{5}{7}{9}{11}{13}"],
     "apart": ["halfedges=8; edges=(0 1)(2 3)(4 5)(6 7); vertices={0 2}{1 3}{4 6}{5 7}",
               "halfedges=4; edges=(0 1)(2 3); vertices={0 1}{2 3}"],
 }
@@ -383,6 +415,12 @@ CI_PINS = [
      "073670810ba989a3ff2f672020360fcc825194277728307a0bc5a2c41c78a4ad"),
     ("orient seven --theta s --bruteforce", "sha256",
      "67012b3e76bf597f23b79438ba3ac5a7001edd3d7d4858c6a3cfd3fc582971fa"),
+    ("orient eight --theta k --bruteforce", "sha256",
+     "e3f50c9e8be2a4ecb0dc6d4d3d604fa87ba3fdabcfb904fd2cc0f85197f92fb8"),
+    ("orient eight --theta s --bruteforce", "sha256",
+     "5c1dc07c6177f7f1134f588f00c68f61956d2f551922fffe47214072ab2de911"),
+    ("orient eight --theta parity --bruteforce", "sha256",
+     "31465a5735e0a834bb92f01a27421dcea5c1f7fe2a1f20161cd55dd6528cdf46"),
     ("theta small --format json --arrangements 20 --seed 7", "sha256",
      "61ed5d7e88db089210a4f5cfe8297150f6ece573d7150f6687e5ab19e7087766"),
     ("theta rank --format json --arrangements 20 --seed 7", "sha256",

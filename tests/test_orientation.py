@@ -42,10 +42,13 @@ from conftest import (
     complete_graph,
     flower,
     graph_from_vertex_pairs,
+    or_orbits_literal,
+    path_graph,
     random_images,
     relabel,
     relabelled_copy,
     search_automorphisms,
+    star,
 )
 
 
@@ -614,6 +617,59 @@ class TestOrOrbits:
                        for g in graphs for theta in ThetaHom)
         assert (hashlib.sha256(text.encode("ascii")).hexdigest()
                 == "4032cce017874f6e58cc9b54d48c5e0833a8394223bb0086890c2ce07e5590f2")
+
+    def test_matches_the_literal_oracle(self, relabelled_shapes):
+        # The orient-oracle shapes and three 8-vertex graphs: a path (20,160
+        # heads of two images each), K_{1,6} and K_{1,7} (7 and 8 heads of 720
+        # and 5040 images).
+        graphs = [g for g in relabelled_shapes if len(g.vertices) >= 5]
+        graphs += [path_graph(8), star(6), star(7)]
+        for g in graphs:
+            auts = search_automorphisms(g)
+            for theta in ThetaHom:
+                assert or_orbits_bruteforce(g, theta, auts) == or_orbits_literal(g, theta, auts)
+
+    def test_matches_the_literal_oracle_on_cyclic_subgroups(self):
+        # Each cyclic subgroup of Aut(K4) = S4, handed over as a list: 2, 3 or 4
+        # vertex actions over 12, 8 or 6 heads, where rows are sorted only from 3 on.
+        g = complete_graph(4)
+        for a in enumerate_automorphisms(g):
+            cyclic = [as_automorphism(g, p) for p in {perms.power(a.perm, k) for k in range(24)}]
+            for theta in ThetaHom:
+                assert or_orbits_bruteforce(g, theta, cyclic) == or_orbits_literal(g, theta, cyclic)
+
+    @pytest.mark.parametrize("g, pins", [
+        (path_graph(8), ("44d2787823d571f2a7ca73ac8bec41bf35f9501258cfb93e2ee42be7143fe5e1",) * 2
+         + ("e6de26f366bceecf6112c98e2b19828ff0496cacd3b828695edc3433d9647e2b",)),
+        (star(7), ("1cf3a61f420393b6c73d5ddb4c3e044b34c47866cb82b811623b03d83da111ab",) * 3),
+    ], ids=["P8", "K17"])
+    def test_pinned_at_eight_vertices(self, g, pins):
+        # The most vertices the oracle takes; one pin per theta, in ThetaHom order.
+        auts = enumerate_automorphisms(g)
+        for theta, pin in zip(ThetaHom, pins, strict=True):
+            text = repr(or_orbits_bruteforce(g, theta, auts))
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == pin
+
+    @pytest.mark.parametrize("oracle", [or_orbits_bruteforce, or_orbits_literal],
+                             ids=["heads", "literal"])
+    def test_both_oracles_refuse_every_broken_list(self, triangle, oracle):
+        # The lists the tests below feed the fast oracle: the triangle's group
+        # short of one element, a theta that is -1 on the identity, and an
+        # edge and a loop short of the element that swaps and flips both.
+        # Last, the identity and one rotation of the triangle: its 3 heads
+        # times 2 actions number 3!, but a head's rotation is another head's
+        # image, so only the union of the images shows the list is broken.
+        auts = enumerate_automorphisms(triangle)
+        edge_loop = validate(4, [(0, 1), (2, 3)], [(0,), (1,), (2, 3)])
+        cases = [(triangle, theta_k, auts[:i] + auts[i + 1 :]) for i in range(len(auts))]
+        cases += [(triangle, lambda g, a: -theta_k(g, a), auts),
+                  (edge_loop, theta_k, enumerate_automorphisms(edge_loop)[:3])]
+        rotation = next(a for a in auts
+                        if perms.cycle_lengths(induced_actions(triangle, a).vertex_perm) == [3])
+        cases.append((triangle, theta_k, [auts[0], rotation]))
+        for g, theta, broken in cases:
+            with pytest.raises(RuntimeError, match="do not form a group"):
+                oracle(g, theta, broken)
 
     @pytest.mark.parametrize("dropped", range(6))
     def test_actions_that_are_not_a_group_raise(self, triangle, monkeypatch, tmp_path, dropped):
